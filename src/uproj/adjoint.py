@@ -17,8 +17,8 @@ from . import linalg
 from .liealg import LieElement
 from .projector import Derivation, Projector, SlicePair
 from .rootsystem import kostant_cascade
-from .symfield import DenominatorSet, LocElem, Poly, poisson_bracket
-from .genset import GeneratorSet
+from .symfield import DenominatorSet, LocElem, Poly
+from .genset import Construction
 
 
 @dataclass
@@ -35,7 +35,7 @@ class LevelData:
     stages: list  # [(Derivation, SlicePair)] for this level, xi first
 
 
-class AdjointConstruction:
+class AdjointConstruction(Construction):
     """Builds levels, lifts, stages and the composed projector."""
 
     def __init__(self, basis):
@@ -318,7 +318,7 @@ class AdjointConstruction:
             )
         return out
 
-    def generator_set(self, verify=True):
+    def _generators(self):
         basis = self.basis
         entries = []
         p = self.projector
@@ -341,65 +341,10 @@ class AdjointConstruction:
             "count": len(entries),
             "expected_count": len(basis.rs.positive_roots) + basis.rs.rank,
         }
-        gs = GeneratorSet(entries, self.dset, metadata=metadata)
-        if verify:
-            gs.report = self.verify(gs)
-        return gs
+        return entries, metadata
 
     def simple_derivations(self):
         return [self._plain_derivation(a) for a in self.basis.rs.simple_roots]
-
-    def verify(self, gs, seed=0):
-        from .projector import jacobian_rank, sample_regular_point, verify_invariance
-        import random
-
-        family = self.simple_derivations()
-        checks = []
-        for name, elem in gs.entries:
-            rep = verify_invariance(elem, family)
-            status = "pass" if all(
-                c["status"] == "pass" for c in rep["checks"]
-            ) else "fail"
-            entry = {"name": f"invariance:{name}", "status": status}
-            if status == "fail":
-                entry["residues"] = [
-                    c for c in rep["checks"] if c["status"] == "fail"
-                ]
-            checks.append(entry)
-        rng = random.Random(seed)
-        point = sample_regular_point(self.dset, rng)
-        r = jacobian_rank(self.dset, gs.elements, point)
-        checks.append(
-            {
-                "name": "jacobian_rank",
-                "status": "pass" if r == len(gs) else "fail",
-                "rank": r,
-                "expected": len(gs),
-            }
-        )
-        return {"checks": checks}
-
-
-def adjoint_projector(basis):
-    return AdjointConstruction(basis).projector
-
-
-def adjoint_generators(basis):
-    return AdjointConstruction(basis).generator_set()
-
-
-def q_xi(construction, level):
-    """Slice pair of the cascade root at a 1-based level."""
-    return construction.levels[level - 1].stages[0][1]
-
-
-def q_alpha(construction, level, alpha):
-    """Slice pair of a paired root at a 1-based level."""
-    alpha = tuple(alpha)
-    for d, s in construction.levels[level - 1].stages[1:]:
-        if construction.basis.root_of(d.label[2:]) == alpha:
-            return s
-    raise KeyError(f"{alpha} is not a Gamma^0 root of level {level}")
 
 
 def killing_form(basis):

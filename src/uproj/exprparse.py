@@ -8,7 +8,8 @@ Grammar (usual precedence, left associative):
     atom   := name | rational | '(' expr ')' | '-' factor
 
 Negative powers go through the denominator-set registration, so writing
-E_1^-1 is allowed whenever E_1 may be inverted in the universe.
+E_1^-1 is allowed whenever E_1 may be inverted in the universe.  Dividing
+by an expression equal to zero is a ParseError.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def inverse(x):
+        if x.is_zero():
+            raise ParseError("division by zero")
+        return x.inverse()
+
     def expr(self):
         out = self.term()
         while self.peek() in (("op", "+"), ("op", "-")):
@@ -80,7 +87,7 @@ class _Parser:
         while self.peek() in (("op", "*"), ("op", "/")):
             op = self.take("op")[1]
             rhs = self.factor()
-            out = out * rhs if op == "*" else out * rhs.inverse()
+            out = out * rhs if op == "*" else out * self.inverse(rhs)
         return out
 
     def factor(self):
@@ -93,7 +100,7 @@ class _Parser:
                 sign = -1
             power = self.take("num")[1]
             if sign < 0:
-                return base.inverse() ** power
+                return self.inverse(base) ** power
             return base**power
         return base
 

@@ -13,11 +13,11 @@ free generating set of the invariant field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .genset import GeneratorSet
+from .genset import Construction
 from .projector import Derivation, Projector, SlicePair
 from .rootsystem import build_root_system
 from .liealg import chevalley_constants
@@ -26,30 +26,6 @@ from .symfield import DenominatorSet, LocElem, Poly
 
 class RepValidationError(ValueError):
     """Input matrices fail the defining relations of the algebra."""
-
-
-def _frac_matrix(m):
-    return [[Fraction(c) for c in row] for row in m]
-
-
-def _mat_commutator(a, b):
-    return _mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _zero_matrix(n):
-    return [[Fraction(0)] * n for _ in range(n)]
 
 
 class RepInput:
@@ -67,8 +43,10 @@ class RepInput:
         self.weights = [tuple(Fraction(w) for w in wt) for wt in weights]
         if len(self.weights) != self.dim:
             raise RepValidationError("one weight per basis vector is required")
+        if any(len(w) != basis.rs.rank for w in self.weights):
+            raise RepValidationError("each weight needs one value per coroot")
         self.variables = tuple(f"y{i + 1}" for i in range(self.dim))
-        given = {sym: _frac_matrix(m) for sym, m in matrices.items()}
+        given = {sym: linalg.frac_matrix(m) for sym, m in matrices.items()}
         for sym, m in given.items():
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise RepValidationError(f"matrix for {sym} is not dim x dim")
@@ -113,7 +91,9 @@ class RepInput:
                     )
                     a = rho[basis.neg_symbol[simple]]
                     b = rho[basis.neg_symbol[rest]]
-                rho[sym] = _mat_scale(_mat_commutator(a, b), Fraction(1) / n)
+                rho[sym] = linalg.mat_scale(
+                    linalg.mat_commutator(a, b), Fraction(1) / n
+                )
         leftovers = missing - set(rho)
         if leftovers:
             raise RepValidationError(f"could not derive matrices for {leftovers}")
@@ -129,9 +109,9 @@ class RepInput:
 
     def matrix_of(self, x):
         """Matrix of a LieElement."""
-        acc = _zero_matrix(self.dim)
+        acc = linalg.zero_matrix(self.dim)
         for sym, c in x.coefficients:
-            acc = _mat_add(acc, _mat_scale(self.rho[sym], c))
+            acc = linalg.mat_add(acc, linalg.mat_scale(self.rho[sym], c))
         return acc
 
     # -- validation -----------------------------------------------------------
@@ -154,7 +134,7 @@ class RepInput:
                 lhs = self.matrix_of(
                     basis.bracket(basis.element(u), basis.element(v))
                 )
-                rhs = _mat_commutator(self.rho[u], self.rho[v])
+                rhs = linalg.mat_commutator(self.rho[u], self.rho[v])
                 if lhs != rhs:
                     raise RepValidationError(
                         f"bracket compatibility fails on the pair ({u}, {v}): "
@@ -163,19 +143,45 @@ class RepInput:
         return True
 
 
+def _rational_rows(value, what):
+    """A JSON list of rows of rationals as Fraction rows."""
+    if not isinstance(value, list) or not all(
+        isinstance(r, list) for r in value
+    ):
+        raise RepValidationError(f"{what} must be a list of rows")
+    try:
+        return [[Fraction(c) for c in row] for row in value]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise RepValidationError(f"{what} has a non-rational entry") from None
+
+
 def load_rep(data):
     """Build a validated RepInput from parsed JSON data.
 
     Expected shape: {"type": ..., "rank": ..., "dim": ...,
     "matrices": {symbol: [[rational strings]]}, "weights": [[int]]}.
+    Data of any other shape raises RepValidationError.
     """
-    rs = build_root_system(data["type"], int(data["rank"]))
-    basis = chevalley_constants(rs)
+    if not isinstance(data, dict):
+        raise RepValidationError("representation data must be a JSON object")
+    missing = [
+        k for k in ("type", "rank", "dim", "matrices", "weights") if k not in data
+    ]
+    if missing:
+        raise RepValidationError(f"representation data lacks {missing}")
+    try:
+        rank, dim = int(data["rank"]), int(data["dim"])
+    except (TypeError, ValueError):
+        raise RepValidationError('"rank" and "dim" must be integers') from None
+    if not isinstance(data["matrices"], dict):
+        raise RepValidationError('"matrices" must map symbols to matrices')
     matrices = {
-        sym: [[Fraction(c) for c in row] for row in m]
+        sym: _rational_rows(m, f"matrix for {sym}")
         for sym, m in data["matrices"].items()
     }
-    return RepInput(basis, data["dim"], matrices, data["weights"], check=True)
+    weights = _rational_rows(data["weights"], '"weights"')
+    basis = chevalley_constants(build_root_system(data["type"], rank))
+    return RepInput(basis, dim, matrices, weights, check=True)
 
 
 def defining_rep(basis):
@@ -186,7 +192,7 @@ def defining_rep(basis):
     n = rs.rank + 1
 
     def unit(i, j):
-        m = _zero_matrix(n)
+        m = linalg.zero_matrix(n)
         m[i][j] = Fraction(1)
         return m
 
@@ -194,7 +200,7 @@ def defining_rep(basis):
     for i, root in enumerate(rs.simple_roots):
         matrices[basis.pos_symbol[root]] = unit(i, i + 1)
         matrices[basis.neg_symbol[root]] = unit(i + 1, i)
-        h = _zero_matrix(n)
+        h = linalg.zero_matrix(n)
         h[i][i] = Fraction(1)
         h[i + 1][i + 1] = Fraction(-1)
         matrices[basis.cartan_symbols[i]] = h
@@ -214,7 +220,7 @@ def adjoint_rep(basis):
 
     def ad_matrix(sym):
         x = basis.element(sym)
-        m = _zero_matrix(n)
+        m = linalg.zero_matrix(n)
         for j, t in enumerate(symbols):
             img = basis.bracket(x, basis.element(t)).as_dict()
             for i, u in enumerate(symbols):
@@ -257,7 +263,7 @@ class StageData:
     w0_dim: int
 
 
-class RepConstruction:
+class RepConstruction(Construction):
     """Runs the stage chain and assembles the projector and generators."""
 
     def __init__(self, rep):
@@ -624,7 +630,7 @@ class RepConstruction:
 
     # -- outputs ----------------------------------------------------------------
 
-    def generator_set(self, verify=True):
+    def _generators(self):
         rep = self.rep
         entries = []
         lowest_rows = []
@@ -653,65 +659,10 @@ class RepConstruction:
             "count": len(entries),
             "expected_count": len(self.final_forms),
         }
-        gs = GeneratorSet(entries, self.dset, metadata=metadata)
-        if verify:
-            gs.report = self.verify(gs)
-        return gs
+        return entries, metadata
 
     def simple_derivations(self):
         return [
             self._ambient_derivation(a)
             for a in self.rep.basis.rs.simple_roots
         ]
-
-    def verify(self, gs, seed=0):
-        from .projector import jacobian_rank, sample_regular_point, verify_invariance
-        import random
-
-        family = self.simple_derivations()
-        checks = []
-        for name, elem in gs.entries:
-            rep = verify_invariance(elem, family)
-            status = "pass" if all(
-                c["status"] == "pass" for c in rep["checks"]
-            ) else "fail"
-            entry = {"name": f"invariance:{name}", "status": status}
-            if status == "fail":
-                entry["residues"] = [
-                    c for c in rep["checks"] if c["status"] == "fail"
-                ]
-            checks.append(entry)
-        rng = random.Random(seed)
-        point = sample_regular_point(self.dset, rng)
-        r = jacobian_rank(self.dset, gs.elements, point)
-        checks.append(
-            {
-                "name": "jacobian_rank",
-                "status": "pass" if r == len(gs) else "fail",
-                "rank": r,
-                "expected": len(gs),
-            }
-        )
-        return {"checks": checks}
-
-
-def stage_setup(rep, subspace=None):
-    """First stage data for the representation (or, with a prebuilt
-    construction passed as `subspace`, its recorded stages)."""
-    if subspace is None:
-        c = RepConstruction(rep)
-        if not c.stages:
-            return None
-        return c.stages[0]
-    return subspace.stages
-
-
-def stage_projector(stage):
-    """Projector of a single stage (its S-maps only)."""
-    return Projector(stage.stages, check=True)
-
-
-def rep_projector(rep):
-    """Full chain: the composed projector and the verified generator set."""
-    c = RepConstruction(rep)
-    return c.projector, c.generator_set()

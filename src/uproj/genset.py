@@ -1,8 +1,12 @@
-"""Named generator sets with their verification reports."""
+"""Named generator sets, their verification, and the shared construction
+protocol of the three pipelines."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+
+from .projector import jacobian_rank, sample_regular_point, verify_invariance
 
 
 @dataclass
@@ -42,3 +46,47 @@ class GeneratorSet:
             "metadata": self.metadata,
             "verification": self.report,
         }
+
+
+class Construction:
+    """Protocol shared by the adjoint, rep and conj constructions.
+
+    A subclass sets `dset` and `projector` and supplies
+    `simple_derivations()` (the family that defines invariance) and
+    `_generators()`, which returns its named entries and metadata.
+    """
+
+    def generator_set(self, verify=True, seed=0):
+        entries, metadata = self._generators()
+        gs = GeneratorSet(entries, self.dset, metadata=metadata)
+        if verify:
+            gs.report = self.verify(gs, seed=seed)
+        return gs
+
+    def verify(self, gs, seed=0):
+        """Exact invariance of every entry under the simple derivations,
+        then the Jacobian rank at a regular point drawn with `seed`."""
+        family = self.simple_derivations()
+        checks = []
+        for name, elem in gs.entries:
+            rep = verify_invariance(elem, family)
+            status = "pass" if all(
+                c["status"] == "pass" for c in rep["checks"]
+            ) else "fail"
+            entry = {"name": f"invariance:{name}", "status": status}
+            if status == "fail":
+                entry["residues"] = [
+                    c for c in rep["checks"] if c["status"] == "fail"
+                ]
+            checks.append(entry)
+        point = sample_regular_point(self.dset, random.Random(seed))
+        r = jacobian_rank(self.dset, gs.elements, point)
+        checks.append(
+            {
+                "name": "jacobian_rank",
+                "status": "pass" if r == len(gs) else "fail",
+                "rank": r,
+                "expected": len(gs),
+            }
+        )
+        return {"checks": checks}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .genset import GeneratorSet
+from .genset import Construction
 from .projector import Derivation, Projector, SlicePair
 from .rootsystem import build_root_system
 from .symfield import DenominatorSet, LocElem, Poly
@@ -138,7 +138,7 @@ class ConjStage:
     slice_pair: object
 
 
-class ConjugationConstruction:
+class ConjugationConstruction(Construction):
     """Builds the stage chain and the projector for conjugation on GL_n."""
 
     def __init__(self, n):
@@ -178,7 +178,7 @@ class ConjugationConstruction:
                 return st
         raise KeyError(f"{root} is not a positive root here")
 
-    def generator_set(self, verify=True):
+    def _generators(self):
         entries = []
         for i, x in enumerate(self.d):
             entries.append((f"d{i + 1}", x))
@@ -191,10 +191,7 @@ class ConjugationConstruction:
             "count": len(entries),
             "expected_count": (self.n - 1) + len(self.order),
         }
-        gs = GeneratorSet(entries, self.dset, metadata=metadata)
-        if verify:
-            gs.report = self.verify(gs)
-        return gs
+        return entries, metadata
 
     def simple_derivations(self):
         out = []
@@ -206,45 +203,3 @@ class ConjugationConstruction:
                 )
             )
         return out
-
-    def verify(self, gs, seed=0):
-        from .projector import jacobian_rank, sample_regular_point, verify_invariance
-        import random
-
-        family = self.simple_derivations()
-        checks = []
-        for name, elem in gs.entries:
-            rep = verify_invariance(elem, family)
-            status = "pass" if all(
-                c["status"] == "pass" for c in rep["checks"]
-            ) else "fail"
-            entry = {"name": f"invariance:{name}", "status": status}
-            if status == "fail":
-                entry["residues"] = [
-                    c for c in rep["checks"] if c["status"] == "fail"
-                ]
-            checks.append(entry)
-        rng = random.Random(seed)
-        point = sample_regular_point(self.dset, rng)
-        r = jacobian_rank(self.dset, gs.elements, point)
-        checks.append(
-            {
-                "name": "jacobian_rank",
-                "status": "pass" if r == len(gs) else "fail",
-                "rank": r,
-                "expected": len(gs),
-            }
-        )
-        return {"checks": checks}
-
-
-def q_beta(n, beta):
-    """Slice pair of a positive root (as simple-root coefficients or an
-    index pair)."""
-    return ConjugationConstruction(n).stage_of(tuple(beta)).slice_pair
-
-
-def conj_projector(n):
-    """The composed projector and the verified generator set."""
-    c = ConjugationConstruction(n)
-    return c.projector, c.generator_set()

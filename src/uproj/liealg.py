@@ -88,14 +88,13 @@ class ChevalleyBasis:
     def __init__(self, rs, jacobi_check=True):
         self.rs = rs
         self.positive_roots = rs.positive_roots
-        self._coeffs = {r: rs.coefficients(r) for r in rs.roots}
-        self._root_set = set(rs.roots)
+        self._root_set = rs._root_set
 
         self.pos_symbol = {
-            r: f"E_{root_suffix(self._coeffs[r])}" for r in self.positive_roots
+            r: f"E_{root_suffix(rs.coefficients(r))}" for r in self.positive_roots
         }
         self.neg_symbol = {
-            r: f"F_{root_suffix(self._coeffs[r])}" for r in self.positive_roots
+            r: f"F_{root_suffix(rs.coefficients(r))}" for r in self.positive_roots
         }
         self.cartan_symbols = tuple(f"H{i + 1}" for i in range(rs.rank))
         self.symbols = (
@@ -113,7 +112,7 @@ class ChevalleyBasis:
         }  # height-then-lex total order
         self._extraspecial = {}
         for gamma in self.positive_roots:
-            if sum(self._coeffs[gamma]) == 1:
+            if rs.height(gamma) == 1:
                 continue
             for alpha in self.positive_roots:
                 beta = tuple(g - a for g, a in zip(gamma, alpha))
@@ -240,13 +239,6 @@ class ChevalleyBasis:
         return LieElement.make(
             self, {h: c for h, c in zip(self.cartan_symbols, coeffs)}
         )
-
-    def weight_on_cartan(self, weight, cartan_coeffs):
-        """Evaluate a weight vector (ambient coordinates) on sum c_i H_i."""
-        total = Fraction(0)
-        for c, alpha in zip(cartan_coeffs, self.rs.simple_roots):
-            total += Fraction(c) * self.rs.cartan_pairing(weight, alpha)
-        return total
 
     # -- brackets -----------------------------------------------------------
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _frac_matrix(rows):
+def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
 def rref(rows):
     """Reduced row echelon form.  Returns (matrix, pivot_columns)."""
-    m = _frac_matrix(rows)
+    m = frac_matrix(rows)
     if not m:
         return m, []
     nrows, ncols = len(m), len(m[0])
@@ -99,6 +99,22 @@ def mat_mul(a, b):
     ]
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def mat_commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
 def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
@@ -107,6 +123,10 @@ def identity(n):
     return [
         [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
     ]
+
+
+def zero_matrix(n):
+    return [[Fraction(0)] * n for _ in range(n)]
 
 
 def mat_inv(rows):

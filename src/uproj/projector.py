@@ -1,9 +1,8 @@
 """Locally nilpotent derivation engine.
 
-S-maps, composed projectors, slice-pair search by exact linear algebra,
-invariance verification and the sampled cross-section checks.  Everything
-here is exact; local nilpotency is a runtime contract enforced by an
-iteration cap.
+S-maps, composed projectors, invariance verification and the sampled
+cross-section checks.  Everything here is exact; local nilpotency is a
+runtime contract enforced by an iteration cap.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .symfield import (
     Poly,
     SingularPointError,
     UniverseMismatch,
-    grevlex_key,
 )
 
 
@@ -26,10 +24,6 @@ class NotLocallyNilpotent(RuntimeError):
 
 class TriangularityError(ValueError):
     """A stage derivation fails to kill a later stage's slice element."""
-
-
-class SliceSearchFailed(RuntimeError):
-    """No slice pair within the degree cap; raise degree_cap and retry."""
 
 
 class Derivation:
@@ -78,7 +72,8 @@ class Derivation:
 
 
 class SlicePair:
-    """Slice element q with D(q) = 1, with optional search witness."""
+    """Slice element q with D(q) = 1, with an optional witness (a1, a0),
+    D(a1) = a0, from which q = a1 / a0 was built."""
 
     def __init__(self, derivation, q, witness=None, normalize_sign=True):
         r = derivation.apply(q)
@@ -93,7 +88,7 @@ class SlicePair:
                 f"D(q) != 1 for {derivation.label}: got {r}"
             )
         self.q = q
-        self.witness = witness  # (a1, a0) when produced by search
+        self.witness = witness
 
     def __repr__(self):
         return f"SlicePair({self.q})"
@@ -166,92 +161,8 @@ class Projector:
         return a
 
     @property
-    def derivations(self):
-        return [d for d, _ in self.stages]
-
-    @property
     def witnesses(self):
         return [s.witness[0] for _, s in self.stages if s.witness]
-
-
-def compose_projector(stages, dset=None):
-    """Build a Projector; rejects stage lists violating triangularity."""
-    return Projector(stages, dset=dset, check=True)
-
-
-def _monomials_up_to(nvars, cap):
-    """Exponent tuples of total degree 1..cap, canonical grevlex order."""
-    result = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            if any(prefix):
-                result.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], nvars, cap)
-    result.sort(key=grevlex_key)
-    return result
-
-
-def find_slice_pair(family, derivation, degree_cap, dset=None):
-    """Search a1 with D(a1) = a0 != 0 and a0 killed by the whole family.
-
-    Exact linear algebra over the coefficient space of polynomials of
-    total degree <= degree_cap.  Returns a SlicePair with q = a1/a0.
-    """
-    dset = dset or derivation.dset
-    nvars = len(dset.vars)
-
-    def poly_of(exp):
-        return Poly(dset.vars, {exp: Fraction(1)})
-
-    for cap in range(1, degree_cap + 1):
-        monos = _monomials_up_to(nvars, cap)
-        d_images = []
-        rows_index = {}
-        rows = []  # one row per (derivation, output monomial)
-        columns = []
-        for exp in monos:
-            da = derivation.apply(poly_of(exp))
-            assert da.is_polynomial(), "slice search needs polynomial images"
-            d_images.append(da.num)
-            col = {}
-            for y_idx, y in enumerate(family):
-                out = y.apply(LocElem(dset, da.num))
-                assert out.is_polynomial()
-                for oexp, c in out.num.terms.items():
-                    key = (y_idx, oexp)
-                    if key not in rows_index:
-                        rows_index[key] = len(rows)
-                        rows.append({})
-                    col[rows_index[key]] = c
-            columns.append(col)
-        matrix = [
-            [columns[j].get(i, Fraction(0)) for j in range(len(monos))]
-            for i in range(len(rows))
-        ]
-        for vec in linalg.nullspace(matrix, ncols=len(monos)):
-            a0 = Poly(dset.vars)
-            for c, img in zip(vec, d_images):
-                if c:
-                    a0 = a0 + img * c
-            if a0.is_zero():
-                continue
-            a1 = Poly(dset.vars)
-            for c, exp in zip(vec, monos):
-                if c:
-                    a1 = a1 + poly_of(exp) * c
-            a1 = LocElem(dset, a1)
-            a0 = LocElem(dset, a0)
-            q = a1 * a0.inverse()
-            return SlicePair(derivation, q, witness=(a1, a0))
-    raise SliceSearchFailed(
-        f"no slice pair for {derivation.label} within degree cap {degree_cap}; "
-        "raise degree_cap"
-    )
 
 
 def verify_invariance(a, family):
@@ -267,10 +178,6 @@ def verify_invariance(a, family):
             }
         )
     return {"checks": checks}
-
-
-def all_pass(report):
-    return all(c["status"] == "pass" for c in report["checks"])
 
 
 def _random_point(rng, names, lo=-9, hi=9):

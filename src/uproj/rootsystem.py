@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
@@ -129,7 +130,11 @@ def _reflect(beta, alpha):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable typed root datum."""
+    """Immutable typed root datum.
+
+    The root set, the simple-root coefficients of every root and the
+    ordered positive roots are derived once per instance, on first use.
+    """
 
     series: str
     rank: int
@@ -143,9 +148,9 @@ class RootSystem:
     def is_root(self, v):
         return tuple(v) in self._root_set
 
-    @property
+    @cached_property
     def _root_set(self):
-        return set(self.roots)
+        return frozenset(self.roots)
 
     @property
     def bilinear_form(self):
@@ -155,14 +160,23 @@ class RootSystem:
             for i in range(dim)
         ]
 
+    @cached_property
+    def _coefficient_table(self):
+        rows = [list(map(Fraction, r)) for r in zip(*self.simple_roots)]
+        table = {}
+        for root in self.roots:
+            sol = linalg.solve(rows, list(root))
+            if sol is None or any(c.denominator != 1 for c in sol):
+                raise AssertionError(f"{root} is not an integral root")
+            table[root] = tuple(int(c) for c in sol)
+        return table
+
     def coefficients(self, root):
         """Expansion of a root over the simple roots (exact integers)."""
-        rows = list(zip(*self.simple_roots))  # ambient-dim x rank
-        sol = linalg.solve([list(map(Fraction, r)) for r in rows], list(root))
-        if sol is None:
-            raise ValueError(f"{root} is not in the root lattice span")
-        assert all(c.denominator == 1 for c in sol)
-        return tuple(int(c) for c in sol)
+        try:
+            return self._coefficient_table[tuple(root)]
+        except KeyError:
+            raise ValueError(f"{root} is not a root") from None
 
     def is_positive(self, root):
         return all(c >= 0 for c in self.coefficients(root))
@@ -170,7 +184,7 @@ class RootSystem:
     def height(self, root):
         return sum(self.coefficients(root))
 
-    @property
+    @cached_property
     def positive_roots(self):
         pos = [r for r in self.roots if self.is_positive(r)]
         pos.sort(key=lambda r: (self.height(r), self.coefficients(r)))

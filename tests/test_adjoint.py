@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from uproj.adjoint import (
-    adjoint_generators,
-    casimir_element,
-    killing_form,
-    q_alpha,
-    q_xi,
-)
+from uproj.adjoint import casimir_element, killing_form
 from uproj.exprparse import parse_expression
 from uproj.liealg import LieElement
 from uproj.projector import jacobian_rank, sample_regular_point
@@ -150,10 +144,12 @@ def test_stage_witnesses_and_slices(adjoint_of, series, rank):
 def test_q_accessors(adjoint_of):
     c = adjoint_of("A", 2)
     lv = c.cascade.levels[0]
-    sp = q_xi(c, 1)
-    assert sp is c.levels[0].stages[0][1]
+    d_xi, sp = c.levels[0].stages[0]
+    assert d_xi.label == f"D_{c.basis.symbol_of(lv.xi)}"
+    assert d_xi.apply(sp.q).constant_value() == 1
     other = [a for a in lv.gamma if a != lv.xi][0]
-    assert q_alpha(c, 1, other) is not None
+    labels = [d.label for d, _ in c.levels[0].stages[1:]]
+    assert f"D_{c.basis.symbol_of(other)}" in labels
 
 
 def test_cascade_denominators_are_invariant(adjoint_of):

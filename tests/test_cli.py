@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from uproj import cli, genset
 from uproj.exprparse import ParseError, parse_expression
 from uproj.symfield import DenominatorSet
 
@@ -57,7 +59,9 @@ def test_parse_expression_arithmetic():
     assert parse_expression("-2*H1 - (-H1)", dset) == -h
 
 
-@pytest.mark.parametrize("bad", ["", "H1 +", "2 ** 3", "unknown_var", "(H1", "H1^x"])
+@pytest.mark.parametrize(
+    "bad", ["", "H1 +", "2 ** 3", "unknown_var", "(H1", "H1^x", "1/0"]
+)
 def test_parse_expression_rejects_garbage(bad):
     dset = DenominatorSet(("H1",))
     with pytest.raises(ParseError):
@@ -134,6 +138,58 @@ def test_generators_rep_invalid_rep_exits_2(tmp_path):
     f.write_text(json.dumps(bad))
     r = run_cli("generators", "rep", "--file", str(f))
     assert r.returncode == 2
+
+
+def test_generators_seed_picks_jacobian_point(monkeypatch, capsys):
+    states = []
+    sample = genset.sample_regular_point
+
+    def recording(dset, rng, *args, **kwargs):
+        states.append(rng.getstate())
+        return sample(dset, rng, *args, **kwargs)
+
+    monkeypatch.setattr(genset, "sample_regular_point", recording)
+    argv = ["generators", "conj", "--n", "3", "--seed"]
+    assert cli.main(argv + ["7"]) == 0
+    assert states == [random.Random(7).getstate()]
+    seeded = capsys.readouterr().out
+    assert cli.main(argv + ["0"]) == 0
+    assert capsys.readouterr().out == seeded
+
+
+REP_FILE = "<rep file>"
+
+
+@pytest.mark.parametrize(
+    "argv,rep_data,message",
+    [
+        (("generators", "rep", "--file", REP_FILE),
+         {k: v for k, v in SL2_REP.items() if k != "rank"}, "rank"),
+        (("generators", "rep", "--file", REP_FILE), [SL2_REP], "JSON object"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
+          "--point", "[1]"), None, "JSON object"),
+        (("verify", "--type", "A", "--rank", "1", "--expr", "1/0"), None,
+         "division by zero"),
+        (("generators", "conj", "--n", "1"), None, "--n must be at least 2"),
+        (("generators", "conj", "--n", "2", "--trials", "3"), None,
+         "unrecognized"),
+        (("generators", "conj", "--n", "2", "--jobs", "2"), None,
+         "unrecognized"),
+        (("generators", "conj", "--n", "2", "--degree-cap", "3"), None,
+         "unrecognized"),
+        (("generators", "conj", "--n", "2", "--iter-cap", "9"), None,
+         "unrecognized"),
+    ],
+    ids=["rep-no-rank", "rep-list", "point-list", "zero-divisor", "conj-n1",
+         "trials", "jobs", "degree-cap", "iter-cap"],
+)
+def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(rep_data))
+    r = run_cli(*(str(f) if a == REP_FILE else a for a in argv))
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_generators_text_format():

@@ -11,9 +11,8 @@ from uproj.genrep import (
     adjoint_rep,
     defining_rep,
     load_rep,
-    stage_projector,
-    stage_setup,
 )
+from uproj.projector import Projector
 from uproj.symfield import LocElem, Poly
 
 
@@ -59,7 +58,7 @@ def test_sl3_defining_stage_projector_values(basis_of):
     rep = defining_rep(basis_of("A", 2))
     c = RepConstruction(rep)
     stage = c.stages[0]
-    p0 = stage_projector(stage)
+    p0 = Projector(stage.stages)
     y1 = LocElem(c.dset, Poly.variable(rep.variables, "y1"))
     y2 = LocElem(c.dset, Poly.variable(rep.variables, "y2"))
     y3 = LocElem(c.dset, Poly.variable(rep.variables, "y3"))
@@ -70,9 +69,9 @@ def test_sl3_defining_stage_projector_values(basis_of):
     assert len(stage.m_roots) == 2
 
 
-def test_stage_setup_wrapper(basis_of):
+def test_first_stage_data(basis_of):
     rep = defining_rep(basis_of("A", 1))
-    st = stage_setup(rep)
+    st = RepConstruction(rep).stages[0]
     assert st.index == 1
     assert str(st.denominator) == "y2"
 

@@ -11,7 +11,6 @@ from uproj.groupconj import (
     matrix_elements,
     matrix_variables,
     minor,
-    q_beta,
     root_to_pair,
     _unit_matrix,
 )
@@ -215,8 +214,8 @@ def test_char_poly_coefficients_are_fixed_and_trace_in_span():
     assert linalg.rank(gen_rows + rows_of([tr])) == len(gs)
 
 
-def test_q_beta_wrapper():
-    sp = q_beta(2, (1,))
+def test_stage_of_by_root_coefficients():
+    sp = conj_of(2).stage_of((1,)).slice_pair
     num, den = sp.witness
     assert str(den) == "s_2_1"
 

@@ -9,7 +9,6 @@ from uproj.projector import (
     SlicePair,
     TriangularityError,
     cross_section_check,
-    find_slice_pair,
     jacobian_rank,
     sample_regular_point,
     smap,
@@ -103,16 +102,6 @@ def test_slice_pair_sign_normalization():
     x = LocElem.variable(dset, "x")
     sp = SlicePair(dx, -x)
     assert dx.apply(sp.q).constant_value() == 1
-
-
-def test_find_slice_pair_toy():
-    dset = make_dset()
-    dx = ddx(dset)
-    sp = find_slice_pair([dx], dx, degree_cap=2, dset=dset)
-    assert dx.apply(sp.q).constant_value() == 1
-    a1, a0 = sp.witness
-    assert dx.apply(a1) == a0
-    assert not a0.is_zero()
 
 
 def test_verify_invariance_report():
