@@ -212,7 +212,8 @@ class AdjointConstruction(Construction):
         if s not in basis._root_set:
             return {}
         n = basis.structure_constant(r, g)
-        assert s in set(gamma0), f"bracket leaves the Heisenberg layer: {s}"
+        if s not in gamma0:
+            raise RuntimeError(f"bracket leaves the Heisenberg layer: {s}")
         return {s: n}
 
     def _correction(self, lv, gamma0, lifted, action):

@@ -344,7 +344,8 @@ class RepConstruction(Construction):
             for i in range(rank)
         ]
         x = linalg.solve(a, [Fraction(w) for w in wt])
-        assert x is not None
+        if x is None:
+            raise RuntimeError(f"singular Cartan matrix solving for weight {wt}")
         return (sum(x), tuple(x))
 
     def _simple_subroots(self, pos):

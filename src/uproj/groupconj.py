@@ -53,7 +53,10 @@ def minor(variables, rows, cols):
     """Exact determinant of the submatrix s[rows, cols] as a Poly."""
     rows = list(rows)
     cols = list(cols)
-    assert len(rows) == len(cols)
+    if len(rows) != len(cols):
+        raise ValueError(
+            f"a minor needs as many rows as columns: {len(rows)} vs {len(cols)}"
+        )
     k = len(rows)
     out = Poly(variables)
     for perm in permutations(range(k)):
@@ -69,7 +72,8 @@ def minor(variables, rows, cols):
 def root_to_pair(root_coeffs):
     """A positive root of A_{n-1} as the index pair (a, b), beta = e_a - e_b."""
     support = [i for i, c in enumerate(root_coeffs) if c]
-    assert all(root_coeffs[i] == 1 for i in support)
+    if not support or any(root_coeffs[i] != 1 for i in support):
+        raise ValueError(f"{tuple(root_coeffs)} is not a positive root of type A")
     a = support[0] + 1
     b = support[-1] + 2
     return a, b

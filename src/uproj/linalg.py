@@ -93,10 +93,18 @@ def solve(rows, rhs):
 
 
 def mat_mul(a, b):
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
-        for row in a
-    ]
+    """Matrix product; zero entries of a and of b are skipped."""
+    ncols = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * ncols
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a, b):

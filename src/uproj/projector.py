@@ -8,6 +8,8 @@ runtime contract enforced by an iteration cap.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from . import linalg
 from .symfield import (
@@ -40,8 +42,28 @@ class Derivation:
         for v, img in images.items():
             if not isinstance(img, Poly):
                 raise TypeError("derivation images must be polynomials")
+            if img.vars != dset.vars:
+                raise UniverseMismatch("image over a different variable universe")
             if not img.is_zero():
                 self.images[v] = img
+        # D(x^e) = sum_i e_i x^(e - unit_i) img_i, so each image term
+        # (e2, c2) of variable i shifts an exponent by e2 - unit_i; the
+        # coefficients are kept as integers over one common denominator
+        self._image_den = lcm(
+            *(c.denominator for img in self.images.values() for c in img.terms.values())
+        )
+        self._shifts = []
+        for v, img in self.images.items():
+            i = dset.vars.index(v)
+            shifted = []
+            for e2, c2 in img.terms.items():
+                delta = list(e2)
+                delta[i] -= 1
+                shifted.append((tuple(delta), int(c2 * self._image_den)))
+            self._shifts.append((i, shifted))
+        # D(gens[i]) by generator index; gens only ever grows, so the
+        # index is a stable key
+        self._gen_images = {}
 
     @classmethod
     def from_lie_element(cls, basis, dset, x, label=None):
@@ -56,16 +78,59 @@ class Derivation:
         return cls(dset, images, label=label or str(x))
 
     def apply(self, a):
+        """D(n / prod g_i^e_i), reduced once.
+
+        Only generators with e_i > 0 and D(g_i) != 0 take the quotient
+        rule; when there are none the result is D(n) over the same
+        denominator.
+        """
         if isinstance(a, Poly):
             a = LocElem(self.dset, a)
         if a.dset is not self.dset:
             raise UniverseMismatch("element over a different denominator set")
-        result = LocElem.const(self.dset, 0)
-        for v, img in self.images.items():
-            d = a.deriv(v)
-            if not d.is_zero():
-                result = result + d * LocElem(self.dset, img)
-        return result
+        num = self._apply_poly(a.num)
+        den = list(a.den)
+        # With M the moved generators (e_i > 0, D(g_i) != 0) and
+        # P = prod_{i in M} g_i, the result is
+        # (D(n) P - n sum_{i in M} e_i D(g_i) P / g_i) / (prod g^e * P);
+        # the numerator is built one generator at a time, prod being the
+        # product of those taken so far
+        prod = Poly.const(self.dset.vars, 1)
+        for i, e in enumerate(a.den):
+            if not e:
+                continue
+            dg = self._gen_image(i)
+            if dg.is_zero():
+                continue
+            g = self.dset.gens[i]
+            num = num * g - a.num * dg * prod * e
+            prod = prod * g
+            den[i] += 1
+        return LocElem(self.dset, num, den)
+
+    def _apply_poly(self, p):
+        """D(p) in one pass over the terms of p, in integer arithmetic over
+        a common denominator."""
+        pden = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {}
+        for exp, c in p.terms.items():
+            num = c.numerator * (pden // c.denominator)
+            for i, shifted in self._shifts:
+                k = exp[i]
+                if not k:
+                    continue
+                nk = num * k
+                for delta, c2 in shifted:
+                    ne = tuple(map(add, exp, delta))
+                    terms[ne] = terms.get(ne, 0) + nk * c2
+        den = pden * self._image_den
+        return Poly(p.vars, {e: Fraction(c, den) for e, c in terms.items() if c})
+
+    def _gen_image(self, i):
+        dg = self._gen_images.get(i)
+        if dg is None:
+            dg = self._gen_images[i] = self._apply_poly(self.dset.gens[i])
+        return dg
 
     def __repr__(self):
         return f"Derivation({self.label})"
@@ -196,12 +261,38 @@ def sample_regular_point(dset, rng, extra=(), attempts=200):
 
 
 def jacobian_rank(dset, elements, point):
-    """Exact rank of the Jacobian of localized elements at a point."""
+    """Exact rank of the Jacobian of localized elements at a point.
+
+    Each row is evaluated pointwise by the quotient rule,
+    d(n / prod g^e)/dv = (dn/dv - n sum_i e_i (dg_i/dv) / g_i) / prod g^e,
+    from the values and gradients of n and of the generators at the point.
+    """
+    names = dset.vars
+    gens = {}  # generator index -> (value, gradient) at the point
+
+    def value_and_gradient(p):
+        return p.evaluate(point), [p.deriv(v).evaluate(point) for v in names]
+
     rows = []
     for a in elements:
         if isinstance(a, Poly):
             a = LocElem(dset, a)
-        rows.append([a.deriv(v).evaluate(point) for v in dset.vars])
+        nval, row = value_and_gradient(a.num)
+        scale = Fraction(1)
+        for i, e in enumerate(a.den):
+            if not e:
+                continue
+            if i not in gens:
+                gens[i] = value_and_gradient(dset.gens[i])
+            gval, ggrad = gens[i]
+            if gval == 0:
+                raise SingularPointError(
+                    f"denominator generator {dset.gens[i]} vanishes"
+                )
+            f = nval * e / gval
+            row = [r - f * dg for r, dg in zip(row, ggrad)]
+            scale /= gval**e
+        rows.append([r * scale for r in row])
     return linalg.rank(rows)
 
 

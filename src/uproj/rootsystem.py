@@ -193,7 +193,8 @@ class RootSystem:
     def cartan_pairing(self, beta, alpha):
         """<beta, alpha-check> = 2(beta,alpha)/(alpha,alpha)."""
         c = Fraction(2 * _dot(beta, alpha), _dot(alpha, alpha))
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ValueError(f"non-integral Cartan pairing <{beta}, {alpha}>: {c}")
         return int(c)
 
     def to_json(self):

@@ -181,3 +181,10 @@ def test_generator_set_json_contract(adjoint_of):
     data = gs.to_json()
     assert set(data) == {"generators", "denominator_set", "metadata", "verification"}
     assert all({"name", "element", "text"} <= set(g) for g in data["generators"])
+
+
+def test_bracket_outside_heisenberg_layer_raises(adjoint_of):
+    c = adjoint_of("A", 2)
+    a1, a2 = c.basis.rs.simple_roots
+    with pytest.raises(RuntimeError, match="Heisenberg layer"):
+        c._bracket_in_gamma0(a1, a2, [])

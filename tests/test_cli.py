@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -273,3 +274,33 @@ def test_json_output_is_byte_identical_across_runs(argv):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+REP_ADJ_B2 = str(Path(__file__).resolve().parents[1] / "perfbench/data/rep-adj-b2.json")
+
+
+# sha256 of `uproj generators ... --seed 0` stdout, recorded before the
+# one-pass Derivation.apply and the pointwise Jacobian; a kernel change must
+# not move a byte
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("adjoint", "--type", "A", "--rank", "2"),
+         "ec881ed65b9749c54e14a5425746fd518cd39c9c8cf7015834670a4eca5cf014"),
+        (("adjoint", "--type", "B", "--rank", "2"),
+         "90133f926bffbdac26bbf7cabac7c369c00d5b14878613c419d9da2b8cb312de"),
+        (("adjoint", "--type", "G", "--rank", "2"),
+         "7fa6ca7ec0c26112d332928657c644f32c8ea7714d5f1a3f97af85069e2a6f13"),
+        (("conj", "--n", "3"),
+         "8694d8684806a662c5abcc9fedf0e35d1447c958e81815c2e74e67dc0d02ed27"),
+        (("conj", "--n", "4"),
+         "b00e3f211fabbdb314faac601606feafda32b21c9d84f6770d0056e4bd619669"),
+        (("rep", "--file", REP_ADJ_B2),
+         "9345db58dc8ef96b82c1a1f80a5a8c45b6f5bf2a3c153a55733d4cd6e3fb0f72"),
+    ],
+    ids=["adjoint-A2", "adjoint-B2", "adjoint-G2", "conj-3", "conj-4", "rep-adj-b2"],
+)
+def test_generators_stdout_is_pinned(argv, digest):
+    r = run_cli("generators", *argv, "--seed", "0")
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

@@ -69,6 +69,17 @@ def test_root_to_pair():
     assert root_to_pair((1, 1)) == (1, 3)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 2), (0, 0)])
+def test_root_to_pair_rejects_non_a_type(coeffs):
+    with pytest.raises(ValueError):
+        root_to_pair(coeffs)
+
+
+def test_minor_rejects_non_square_selection():
+    with pytest.raises(ValueError):
+        minor(matrix_variables(3), (1, 2), (1,))
+
+
 def test_corner_minors_n3_frozen():
     els = matrix_elements(3)
     vars3 = matrix_variables(3)

@@ -50,3 +50,30 @@ def test_mat_inv_roundtrip():
 def test_mat_vec():
     m = frac_rows([[1, 2], [3, 4]])
     assert linalg.mat_vec(m, [Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
+
+
+def dense_mat_mul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def test_mat_mul_matches_dense_reference():
+    rng = random.Random(2)
+
+    def rand_matrix(n, m):
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4
+             else Fraction(0) for _ in range(m)]
+            for _ in range(n)
+        ]
+        rows[rng.randrange(n)] = [Fraction(0)] * m
+        return rows
+
+    for n, k, m in [(1, 1, 1), (3, 3, 3), (2, 5, 3), (4, 1, 6), (6, 4, 2)]:
+        for _ in range(5):
+            a, b = rand_matrix(n, k), rand_matrix(k, m)
+            assert linalg.mat_mul(a, b) == dense_mat_mul(a, b)
+    zero = [[Fraction(0)] * 3 for _ in range(2)]
+    assert linalg.mat_mul(zero, rand_matrix(3, 4)) == [[Fraction(0)] * 4] * 2

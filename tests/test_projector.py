@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from uproj import linalg
 from uproj.projector import (
     Derivation,
     Projector,
@@ -14,7 +15,13 @@ from uproj.projector import (
     smap,
     verify_invariance,
 )
-from uproj.symfield import DenominatorSet, LocElem, Poly
+from uproj.symfield import (
+    DenominatorSet,
+    LocElem,
+    Poly,
+    SingularPointError,
+    UniverseMismatch,
+)
 
 VARS = ("x", "y", "z")
 
@@ -145,3 +152,115 @@ def test_cross_section_check_toy():
                   dset=dset)
     report = cross_section_check(p, [x], [y, z], trials=5, seed=1)
     assert all(c["status"] != "fail" for c in report["checks"])
+
+
+# -- one-pass Derivation.apply and pointwise jacobian_rank ----------------
+
+
+def reference_apply(d, a):
+    """D(a) = sum_v da/dv * D(v), by the symbolic chain rule."""
+    result = LocElem.const(d.dset, 0)
+    for v, img in d.images.items():
+        result = result + a.deriv(v) * LocElem(d.dset, img)
+    return result
+
+
+def rand_poly(rng, nterms=4, deg=2):
+    terms = {}
+    for _ in range(nterms):
+        exp = [rng.randint(0, deg) for _ in VARS]
+        terms[tuple(exp)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Poly(VARS, terms)
+
+
+def rand_locelem(rng, dset):
+    den = [rng.randint(0, 2) for _ in dset.gens]
+    return LocElem(dset, rand_poly(rng), den)
+
+
+def kernel_dset():
+    # z is killed by d/dx; x + y and x^2 + z are not
+    x, y, z = (Poly.variable(VARS, v) for v in VARS)
+    return DenominatorSet(VARS, [z, x + y, x * x + z])
+
+
+def kernel_derivations(dset):
+    y, z = Poly.variable(VARS, "y"), Poly.variable(VARS, "z")
+    return [
+        ddx(dset),
+        Derivation(dset, {"x": y, "y": z}, label="linear"),
+        Derivation(
+            dset,
+            {"x": y * z, "y": z * z * Fraction(1, 2) - 1,
+             "z": Poly.const(VARS, Fraction(2, 3))},
+            label="nonlinear",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["ddx", "linear", "nonlinear"])
+def test_apply_matches_chain_rule(index):
+    dset = kernel_dset()
+    d = kernel_derivations(dset)[index]
+    rng = random.Random(11 + index)
+    for _ in range(25):
+        a = rand_locelem(rng, dset)
+        assert d.apply(a) == reference_apply(d, a)
+        assert d.apply(a.num) == reference_apply(d, LocElem(dset, a.num))
+
+
+def test_derivation_rejects_image_over_other_universe():
+    with pytest.raises(UniverseMismatch):
+        Derivation(make_dset(), {"x": Poly.const(("x", "y"), 1)})
+
+
+def test_apply_quotient_rule_on_moved_generator():
+    dset = kernel_dset()
+    d = ddx(dset)
+    x, y = LocElem.variable(dset, "x"), LocElem.variable(dset, "y")
+    a = y / (x + y) ** 2
+    assert d.apply(a) == -2 * y / (x + y) ** 3
+    assert d.apply(a) == reference_apply(d, a)
+
+
+def test_apply_after_denominator_set_grows():
+    dset = kernel_dset()
+    derivations = kernel_derivations(dset)
+    rng = random.Random(5)
+    first = rand_locelem(rng, dset)
+    for d in derivations:
+        assert d.apply(first) == reference_apply(d, first)
+    grown = LocElem(dset, Poly.variable(VARS, "y") * 3 - 1).inverse()
+    assert len(dset) == 4
+    for _ in range(10):
+        a = rand_locelem(rng, dset) * grown
+        for d in derivations:
+            assert d.apply(a) == reference_apply(d, a)
+
+
+def symbolic_rows(dset, elements, point):
+    return [[a.deriv(v).evaluate(point) for v in dset.vars] for a in elements]
+
+
+def test_jacobian_rank_matches_symbolic_rows(monkeypatch):
+    seen = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    dset = kernel_dset()
+    rng = random.Random(3)
+    for _ in range(10):
+        elements = [rand_locelem(rng, dset) for _ in range(3)]
+        point = sample_regular_point(dset, rng)
+        r = jacobian_rank(dset, elements, point)
+        expected = symbolic_rows(dset, elements, point)
+        assert seen.pop() == expected
+        assert r == rank(expected)
+
+
+def test_jacobian_rank_singular_point():
+    dset = kernel_dset()
+    x, y = LocElem.variable(dset, "x"), LocElem.variable(dset, "y")
+    pt = {"x": Fraction(2), "y": Fraction(-2), "z": Fraction(1)}
+    assert jacobian_rank(dset, [x * y], pt) == 1
+    with pytest.raises(SingularPointError):
+        jacobian_rank(dset, [x, y / (x + y)], pt)

@@ -72,6 +72,12 @@ def test_cartan_pairing_simple_roots_match_cartan_matrix():
     assert off == [-3, -1]
 
 
+def test_cartan_pairing_rejects_non_integral():
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError):
+        rs.cartan_pairing((1, 0, 0), (1, 1, 1))
+
+
 @pytest.mark.parametrize("series,rank", [("Z", 2), ("A", 0), ("G", 3), ("B", 1), ("D", 2), ("F", 3)])
 def test_invalid_dynkin_data_rejected(series, rank):
     with pytest.raises(InvalidDynkinDatum):
