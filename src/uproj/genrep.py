@@ -297,32 +297,18 @@ class RepConstruction(Construction):
 
     # -- per-stage work -------------------------------------------------------
 
-    def _restricted(self, matrix, sub_basis, solver):
+    @staticmethod
+    def _restricted(matrix, sub_basis):
         """Matrix of an ambient operator in subspace coordinates."""
-        cols = []
-        for vec in sub_basis:
-            img = [
-                sum(matrix[i][j] * vec[j] for j in range(len(vec)))
-                for i in range(len(matrix))
-            ]
-            c = solver(img)
-            if c is None:
-                raise RepValidationError(
-                    "operator does not preserve the stage subspace"
-                )
-            cols.append(c)
+        # coordinates of every image from one elimination against the
+        # sub-basis vectors as columns
+        cols = linalg.solve_columns(
+            list(zip(*sub_basis)), [linalg.mat_vec(matrix, v) for v in sub_basis]
+        )
+        if cols is None:
+            raise RepValidationError("operator does not preserve the stage subspace")
         m = len(sub_basis)
         return [[cols[j][i] for j in range(m)] for i in range(m)]
-
-    def _make_solver(self, sub_basis):
-        dim = self.rep.dim
-        m = len(sub_basis)
-        rows = [[sub_basis[j][i] for j in range(m)] for i in range(dim)]
-
-        def solver(vec):
-            return linalg.solve(rows, list(vec))
-
-        return solver
 
     def _weight_of(self, vec, sub_weights):
         wt = None
@@ -421,14 +407,13 @@ class RepConstruction(Construction):
         )
         if not pos:
             return None
-        solver = self._make_solver(sub_basis)
         simples = self._simple_subroots(pos)
         r_pos = {
-            a: self._restricted(rep.rho[basis.pos_symbol[a]], sub_basis, solver)
+            a: self._restricted(rep.rho[basis.pos_symbol[a]], sub_basis)
             for a in pos
         }
         r_neg_simple = [
-            self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis, solver)
+            self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis)
             for a in simples
         ]
         r_pos_simple = [r_pos[a] for a in simples]
@@ -485,11 +470,11 @@ class RepConstruction(Construction):
             )
         )
         l_pos = [
-            self._restricted(rep.rho[basis.pos_symbol[a]], sub_basis, solver)
+            self._restricted(rep.rho[basis.pos_symbol[a]], sub_basis)
             for a in levi_pos
         ]
         l_neg = [
-            self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis, solver)
+            self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis)
             for a in levi_pos
         ]
         cand_rows = [list(v) for v in cand]
@@ -574,20 +559,14 @@ class RepConstruction(Construction):
             return [[list(v)] for v in vectors]
         # work in coordinates of the span
         inner_weights = [self._weight_of(v, sub_weights) for v in vectors]
-        span_rows = [list(v) for v in vectors]
 
         def restrict(mat):
-            cols = []
-            for v in vectors:
-                img = [sum(mat[i][j] * v[j] for j in range(m)) for i in range(m)]
-                c = linalg.solve(
-                    [[span_rows[a][i] for a in range(len(vectors))]
-                     for i in range(m)],
-                    img,
-                )
-                if c is None:
-                    raise RepValidationError("Levi does not preserve a summand")
-                cols.append(c)
+            cols = linalg.solve_columns(
+                list(zip(*vectors)),
+                [linalg.mat_vec(mat, v) for v in vectors],
+            )
+            if cols is None:
+                raise RepValidationError("Levi does not preserve a summand")
             d = len(vectors)
             return [[cols[j][i] for j in range(d)] for i in range(d)]
 

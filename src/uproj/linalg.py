@@ -1,8 +1,8 @@
 """Exact linear algebra over rationals.
 
-Small dense routines (rref, rank, nullspace, solve) on lists of lists of
-Fraction.  Deterministic pivoting: first nonzero entry in column order, so
-every result is canonical for a given input.
+Small dense routines (rref, rank, nullspace, solve, solve_columns) on
+lists of lists of Fraction.  Deterministic pivoting: first nonzero entry in
+column order, so every result is canonical for a given input.
 """
 
 from __future__ import annotations
@@ -79,17 +79,29 @@ def nullspace(rows, ncols=None):
 
 def solve(rows, rhs):
     """One solution of A x = b, or None if inconsistent."""
+    sols = solve_columns(rows, [rhs])
+    return None if sols is None else sols[0]
+
+
+def solve_columns(rows, columns):
+    """One solution x_k of A x_k = b_k for each right-hand side b_k, from a
+    single rref of [A | b_1 ... b_m]; None if any b_k is inconsistent."""
     if not rows:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+        if all(x == 0 for b in columns for x in b):
+            return [[] for _ in columns]
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
+    ncols = len(rows[0])
+    aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(rows)]
+    m, pivots = rref(aug)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    sols = []
+    for k in range(ncols, ncols + len(columns)):
+        x = [Fraction(0)] * ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = m[r][k]
+        sols.append(x)
+    return sols
 
 
 def mat_mul(a, b):

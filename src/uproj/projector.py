@@ -47,19 +47,18 @@ class Derivation:
             if not img.is_zero():
                 self.images[v] = img
         # D(x^e) = sum_i e_i x^(e - unit_i) img_i, so each image term
-        # (e2, c2) of variable i shifts an exponent by e2 - unit_i; the
-        # coefficients are kept as integers over one common denominator
-        self._image_den = lcm(
-            *(c.denominator for img in self.images.values() for c in img.terms.values())
-        )
+        # (e2, n2) of variable i shifts an exponent by e2 - unit_i; the
+        # numerators are brought over the images' common denominator
+        self._image_den = lcm(*(img._den for img in self.images.values()))
         self._shifts = []
         for v, img in self.images.items():
             i = dset.vars.index(v)
+            scale = self._image_den // img._den
             shifted = []
-            for e2, c2 in img.terms.items():
+            for e2, n2 in img._num.items():
                 delta = list(e2)
                 delta[i] -= 1
-                shifted.append((tuple(delta), int(c2 * self._image_den)))
+                shifted.append((tuple(delta), n2 * scale))
             self._shifts.append((i, shifted))
         # D(gens[i]) by generator index; gens only ever grows, so the
         # index is a stable key
@@ -109,12 +108,9 @@ class Derivation:
         return LocElem(self.dset, num, den)
 
     def _apply_poly(self, p):
-        """D(p) in one pass over the terms of p, in integer arithmetic over
-        a common denominator."""
-        pden = lcm(*(c.denominator for c in p.terms.values()))
+        """D(p) in one pass over the integer numerators of p."""
         terms = {}
-        for exp, c in p.terms.items():
-            num = c.numerator * (pden // c.denominator)
+        for exp, num in p._num.items():
             for i, shifted in self._shifts:
                 k = exp[i]
                 if not k:
@@ -123,8 +119,9 @@ class Derivation:
                 for delta, c2 in shifted:
                     ne = tuple(map(add, exp, delta))
                     terms[ne] = terms.get(ne, 0) + nk * c2
-        den = pden * self._image_den
-        return Poly(p.vars, {e: Fraction(c, den) for e, c in terms.items() if c})
+        return Poly.from_integers(
+            p.vars, {e: c for e, c in terms.items() if c}, p._den * self._image_den
+        )
 
     def _gen_image(self, i):
         dg = self._gen_images.get(i)

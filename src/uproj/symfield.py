@@ -1,10 +1,14 @@
 """Exact multivariate polynomials and localized elements over the rationals.
 
-Polynomials are sparse dicts mapping exponent tuples to Fraction
-coefficients.  Localized elements (LocElem) carry a polynomial numerator
-and a formal monomial denominator over a declared multiplicative set of
-generator polynomials; cancellation happens only by exact division against
-those generators, so normal forms stay cheap and canonical.
+A polynomial is stored as integer numerators over one positive common
+denominator: a sparse dict mapping exponent tuples to nonzero ints, and an
+int, kept in lowest terms so that equal polynomials have equal fields.
+All arithmetic runs on Python ints; a read-only {exp: Fraction} view of
+the coefficients is built on demand.  Localized elements (LocElem) carry a
+polynomial numerator and a formal monomial denominator over a declared
+multiplicative set of generator polynomials; cancellation happens only by
+exact division against those generators, so normal forms stay cheap and
+canonical.
 
 The Poisson bracket of a symmetric algebra S(g) lives here as well: it is
 determined by a bracket table on the degree-1 variables (supplied by a
@@ -15,6 +19,9 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
+from types import MappingProxyType
 
 
 class UniverseMismatch(ValueError):
@@ -37,19 +44,48 @@ def grevlex_key(exp):
 
 
 class Poly:
-    """Sparse exact polynomial over an ordered variable tuple."""
+    """Sparse exact polynomial over an ordered variable tuple.
 
-    __slots__ = ("vars", "terms")
+    The coefficient of exp is _num[exp] / _den: _num maps exponent tuples
+    to nonzero ints, _den is a positive int, gcd(_den, *_num.values()) is
+    1, and the zero polynomial has _den 1.
+    """
+
+    __slots__ = ("vars", "_num", "_den", "_terms")
 
     def __init__(self, variables, terms=None):
-        self.vars = tuple(variables)
-        clean = {}
+        """Polynomial with the given {exp: rational} coefficients."""
+        coeffs = {}
         if terms:
             for exp, coeff in terms.items():
                 c = _fr(coeff)
-                if c != 0:
-                    clean[tuple(exp)] = c
-        self.terms = clean
+                if c:
+                    coeffs[tuple(exp)] = c
+        # over the lcm of the reduced denominators the numerators are
+        # already coprime to it, so the result is in lowest terms
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.vars = tuple(variables)
+        self._num = {
+            e: c.numerator * (den // c.denominator) for e, c in coeffs.items()
+        }
+        self._den = den
+        self._terms = None
+
+    @classmethod
+    def from_integers(cls, variables, num, den=1):
+        """Polynomial num / den from {exp: nonzero int} and a positive int
+        den, brought to lowest terms; num is taken over, not copied."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
+        p = cls.__new__(cls)
+        p.vars = variables
+        p._num = num
+        p._den = den
+        p._terms = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -58,8 +94,10 @@ class Poly:
         variables = tuple(variables)
         value = _fr(value)
         if value == 0:
-            return cls(variables)
-        return cls(variables, {(0,) * len(variables): value})
+            return cls.from_integers(variables, {})
+        return cls.from_integers(
+            variables, {(0,) * len(variables): value.numerator}, value.denominator
+        )
 
     @classmethod
     def variable(cls, variables, name):
@@ -67,7 +105,7 @@ class Poly:
         i = variables.index(name)
         exp = [0] * len(variables)
         exp[i] = 1
-        return cls(variables, {tuple(exp): Fraction(1)})
+        return cls.from_integers(variables, {tuple(exp): 1})
 
     @classmethod
     def linear(cls, variables, coeffs):
@@ -78,35 +116,47 @@ class Poly:
             i = variables.index(name)
             exp = [0] * len(variables)
             exp[i] = 1
-            terms[tuple(exp)] = _fr(c)
+            terms[tuple(exp)] = c
         return cls(variables, terms)
+
+    # -- coefficient view -----------------------------------------------
+
+    @property
+    def terms(self):
+        """Read-only {exp: Fraction} view of the coefficients."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType(
+                {e: Fraction(n, den) for e, n in self._num.items()}
+            )
+        return self._terms
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._num)
 
     def constant_value(self):
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def total_degree(self):
-        if not self.terms:
+        if not self._num:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num))
 
     def coefficient_of(self, name):
         """Coefficient of the plain variable term (degree-one monomial)."""
         i = self.vars.index(name)
         exp = [0] * len(self.vars)
         exp[i] = 1
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self._num.get(tuple(exp), 0), self._den)
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -120,19 +170,27 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
+        da, db = self._den, other._den
+        if da == db:
+            num, den, mb = dict(self._num), da, 1
+        else:
+            den = lcm(da, db)
+            ma, mb = den // da, den // db
+            num = {e: n * ma for e, n in self._num.items()}
+        for e, n in other._num.items():
+            s = num.get(e, 0) + n * mb
+            if s:
+                num[e] = s
             else:
-                terms[exp] = s
-        return Poly(self.vars, terms)
+                del num[e]
+        return Poly.from_integers(self.vars, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly.from_integers(
+            self.vars, {e: -n for e, n in self._num.items()}, self._den
+        )
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -146,19 +204,24 @@ class Poly:
         if not isinstance(other, Poly):
             c = _fr(other)
             if c == 0:
-                return Poly(self.vars)
-            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
+                return Poly.from_integers(self.vars, {})
+            k = c.numerator
+            return Poly.from_integers(
+                self.vars,
+                {e: n * k for e, n in self._num.items()},
+                self._den * c.denominator,
+            )
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return Poly(self.vars, terms)
+        acc = {}
+        get = acc.get
+        onum = other._num.items()
+        for e1, n1 in self._num.items():
+            for e2, n2 in onum:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + n1 * n2
+        return Poly.from_integers(
+            self.vars, {e: n for e, n in acc.items() if n}, self._den * other._den
+        )
 
     __rmul__ = __mul__
 
@@ -177,35 +240,50 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return self.is_constant() and self.constant_value() == _fr(other)
-        return self.vars == other.vars and self.terms == other.terms
+        return (
+            self.vars == other.vars
+            and self._den == other._den
+            and self._num == other._num
+        )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self._den, frozenset(self._num.items())))
 
     # -- calculus and evaluation ---------------------------------------
 
     def deriv(self, name):
         i = self.vars.index(name)
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            terms[tuple(new)] = c * exp[i]
-        return Poly(self.vars, terms)
+        num = {}
+        for exp, n in self._num.items():
+            k = exp[i]
+            if k:
+                new = list(exp)
+                new[i] = k - 1
+                num[tuple(new)] = n * k
+        return Poly.from_integers(self.vars, num, self._den)
 
     def evaluate(self, point):
-        """Exact substitution; point maps variable name to a rational."""
+        """Exact substitution; point maps variable name to a rational.
+
+        With the point written as a_j / b over one common b, the value is
+        sum_e n_e prod a_j^e_j b^(deg - |e|) / (den b^deg), an integer sum
+        turned into one Fraction.
+        """
         vals = [_fr(point[v]) for v in self.vars]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
+        b = lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (b // v.denominator) for v in vals]
+        deg = self.total_degree()
+        bpow = [1]
+        for _ in range(deg):
+            bpow.append(bpow[-1] * b)
+        total = 0
+        for exp, n in self._num.items():
+            t = n * bpow[deg - sum(exp)]
+            for a, e in zip(ints, exp):
                 if e:
-                    term *= v**e
-            total += term
-        return total
+                    t *= a**e
+            total += t
+        return Fraction(total, self._den * bpow[deg])
 
     def substitute_linear(self, new_vars, images):
         """Substitute each variable by a linear Poly over new_vars."""
@@ -227,72 +305,83 @@ class Poly:
 
     def leading(self):
         """Leading (exp, coeff) in grevlex order; None for the zero poly."""
-        if not self.terms:
+        if not self._num:
             return None
-        exp = min(self.terms, key=grevlex_key)
-        return exp, self.terms[exp]
+        exp = min(self._num, key=grevlex_key)
+        return exp, Fraction(self._num[exp], self._den)
 
     def content_and_primitive(self):
         """Write self = c * p with p having integer coprime coefficients
         and positive leading coefficient."""
-        if not self.terms:
+        if not self._num:
             return Fraction(1), self
-        from math import gcd
-
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        lead = self.leading()[1]
-        if lead < 0:
-            content = -content
-        prim = Poly(self.vars, {e: c / content for e, c in self.terms.items()})
-        return content, prim
+        g = gcd(*self._num.values())
+        if self.leading()[1] < 0:
+            g = -g
+        prim = Poly.from_integers(
+            self.vars, {e: n // g for e, n in self._num.items()}
+        )
+        return Fraction(g, self._den), prim
 
     def exact_div(self, divisor):
-        """Exact quotient self / divisor, or None when not divisible."""
+        """Exact quotient self / divisor, or None when not divisible.
+
+        The numerator is divided by the primitive part of the divisor's
+        numerator, over the integers: by Gauss's lemma a primitive integer
+        polynomial divides an integer polynomial over Q exactly when it
+        does over Z, so the first quotient coefficient that is not an
+        integer proves there is no quotient.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         self._check(divisor)
-        if not self.terms:
-            return Poly(self.vars)
-        dexp, dcoeff = divisor.leading()
-        dterms = divisor.terms
-        rem = dict(self.terms)
-        heap = [grevlex_key(e) for e in rem]
+        if not self._num:
+            return Poly.from_integers(self.vars, {})
+        dnum = divisor._num
+        content = gcd(*dnum.values())
+        if content != 1:
+            dnum = {e: n // content for e, n in dnum.items()}
+        dexp = min(dnum, key=grevlex_key)
+        dlead = dnum[dexp]
+        dtail = [(e, n) for e, n in dnum.items() if e != dexp]
+        # quotient terms come out in decreasing grevlex order, and every
+        # update lands strictly below the term being cancelled, so each
+        # monomial enters the heap once and is final when popped
+        rem = dict(self._num)
+        heap = [(-sum(e), e[::-1]) for e in rem]
         heapq.heapify(heap)
-        qterms = {}
+        pop, push = heapq.heappop, heapq.heappush
+        qnum = {}
         while heap:
-            key = heapq.heappop(heap)
-            rexp = tuple(key[1][::-1])
-            rcoeff = rem.get(rexp)
-            if not rcoeff:
+            rexp = pop(heap)[1][::-1]
+            r = rem.pop(rexp)
+            if not r:
                 continue
-            q = tuple(a - b for a, b in zip(rexp, dexp))
-            if any(e < 0 for e in q):
+            q = tuple(map(sub, rexp, dexp))
+            if min(q, default=0) < 0:
                 return None
-            c = rcoeff / dcoeff
-            qterms[q] = c
-            for e2, c2 in dterms.items():
-                ne = tuple(a + b for a, b in zip(q, e2))
+            c, m = divmod(r, dlead)
+            if m:
+                return None
+            qnum[q] = c
+            for e2, n2 in dtail:
+                ne = tuple(map(add, q, e2))
                 old = rem.get(ne)
                 if old is None:
-                    rem[ne] = -c * c2
-                    heapq.heappush(heap, grevlex_key(ne))
+                    rem[ne] = -c * n2
+                    push(heap, (-sum(ne), ne[::-1]))
                 else:
-                    nv = old - c * c2
-                    if nv:
-                        rem[ne] = nv
-                    else:
-                        del rem[ne]
-        return Poly(self.vars, qterms)
+                    rem[ne] = old - c * n2
+        # self / divisor = Q * divisor._den / (self._den * content)
+        dd = divisor._den
+        if dd != 1:
+            qnum = {e: n * dd for e, n in qnum.items()}
+        return Poly.from_integers(self.vars, qnum, self._den * content)
 
     # -- presentation ---------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for exp, c in self.sorted_terms():
@@ -361,7 +450,7 @@ class DenominatorSet:
             raise UniverseMismatch("generator over a different variable universe")
         content, prim = poly.content_and_primitive()
         for i, g in enumerate(self.gens):
-            if g.terms == prim.terms:
+            if g == prim:
                 return i, content
         self.gens.append(prim)
         return len(self.gens) - 1, content
@@ -395,6 +484,16 @@ class LocElem:
         self.den = den
         self._reduce()
 
+    @classmethod
+    def _reduced(cls, dset, num, den):
+        """Element from a numerator and denominator already in normal form;
+        _reduce is not run."""
+        a = cls.__new__(cls)
+        a.dset = dset
+        a.num = num
+        a.den = den
+        return a
+
     # -- helpers --------------------------------------------------------
 
     @classmethod
@@ -414,23 +513,22 @@ class LocElem:
             self.den = ()
             return
         den = list(self.den)
-        changed = False
+        deg = self.num.total_degree()
         for i, e in enumerate(den):
             gen_deg = self.dset.gens[i].total_degree()
             while e > 0:
-                if self.num.total_degree() < gen_deg:
+                if deg < gen_deg:
                     break
                 q = self.num.exact_div(self.dset.gens[i])
                 if q is None:
                     break
                 self.num = q
+                deg -= gen_deg
                 e -= 1
-                changed = True
             den[i] = e
         while den and den[-1] == 0:
             den.pop()
         self.den = tuple(den)
-        return changed
 
     def den_poly(self):
         """The denominator monomial expanded as a Poly."""
@@ -468,7 +566,8 @@ class LocElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return LocElem(self.dset, -self.num, self.den)
+        # a nonzero scalar multiple of a reduced element is reduced
+        return LocElem._reduced(self.dset, -self.num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, LocElem):
@@ -482,8 +581,11 @@ class LocElem:
         if not isinstance(other, LocElem):
             if isinstance(other, Poly):
                 other = LocElem(self.dset, other)
+            elif other == 0:
+                return LocElem.const(self.dset, 0)
             else:
-                return LocElem(self.dset, self.num * other, self.den)
+                # a nonzero scalar multiple of a reduced element is reduced
+                return LocElem._reduced(self.dset, self.num * other, self.den)
         self._check(other)
         n = max(len(self.den), len(other.den))
         den = tuple(

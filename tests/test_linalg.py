@@ -77,3 +77,26 @@ def test_mat_mul_matches_dense_reference():
             assert linalg.mat_mul(a, b) == dense_mat_mul(a, b)
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     assert linalg.mat_mul(zero, rand_matrix(3, 4)) == [[Fraction(0)] * 4] * 2
+
+
+def test_solve_columns_matches_per_column_solve():
+    rng = random.Random(5)
+    for n, k in [(1, 1), (3, 2), (4, 4), (5, 3), (6, 1)]:
+        for _ in range(5):
+            while True:
+                a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(k)] for _ in range(n)]
+                if linalg.rank(a) == k:
+                    break
+            # right-hand sides in the column span, so every one is consistent
+            cols = [
+                linalg.mat_vec(a, [Fraction(rng.randint(-4, 4)) for _ in range(k)])
+                for _ in range(rng.randint(1, 4))
+            ]
+            assert linalg.solve_columns(a, cols) == [linalg.solve(a, b) for b in cols]
+    a = frac_rows([[1, 0], [0, 1], [1, 1]])
+    good, bad = frac_rows([[1, 2, 3]])[0], frac_rows([[1, 2, 0]])[0]
+    assert linalg.solve_columns(a, [good]) == [frac_rows([[1, 2]])[0]]
+    assert linalg.solve_columns(a, [good, bad]) is None
+    assert linalg.solve_columns(a, [bad, good]) is None
+    assert linalg.solve_columns([], [[], []]) == [[], []]

@@ -161,3 +161,223 @@ def test_locelem_json_roundtrip():
     a = (y + x * x) * x.inverse()
     data = a.to_json()
     assert LocElem.from_json(dset, data) == a
+
+
+def test_locelem_scalar_multiple_is_reduced():
+    rng = random.Random(17)
+    dset = DenominatorSet(VARS)
+    x = LocElem.variable(dset, "x")
+    y = LocElem.variable(dset, "y")
+    elems = [(y + x * x) * x.inverse(), (x + y) / (x * y + 1), x * y]
+    for a in elems:
+        for c in (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 3, -1):
+            if c == 0:
+                continue
+            got = a * c
+            # the same element through _reduce
+            want = LocElem(dset, a.num * c, a.den)
+            assert (got.num, got.den) == (want.num, want.den)
+            neg = -a
+            assert (neg.num, neg.den) == (-a.num, a.den)
+        zero = a * 0
+        assert zero.is_zero() and zero.den == ()
+
+
+# -- property tests of the integer-numerator kernel ---------------------
+#
+# Each operation is checked against a plain {exp: Fraction} dict reference
+# (the formulas of a Fraction-coefficient kernel), and every result against
+# the invariants of the stored form.
+
+
+def _hypothesis():
+    """hypothesis and its strategies; skips the test where it is missing."""
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.strategies
+
+
+def _polys(st, nvars=len(VARS), max_exp=3, max_terms=5):
+    """Strategy for {exp: Fraction} dicts, zero entries included."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return st.dictionaries(exps, coeffs, max_size=max_terms)
+
+
+def _settings(hyp):
+    return hyp.settings(max_examples=150, deadline=None)
+
+
+def ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_deriv(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            new = list(e)
+            new[i] -= 1
+            out[tuple(new)] = c * e[i]
+    return ref_clean(out)
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        term = c
+        for v, k in zip(point, e):
+            term *= v**k
+        total += term
+    return total
+
+
+def ref_exact_div(a, d):
+    """Heap-free long division over Q in grevlex order, or None."""
+    from uproj.symfield import grevlex_key
+
+    dexp = min(d, key=grevlex_key)
+    rem = dict(a)
+    quot = {}
+    while rem:
+        rexp = min(rem, key=grevlex_key)
+        q = tuple(x - y for x, y in zip(rexp, dexp))
+        if any(k < 0 for k in q):
+            return None
+        c = rem[rexp] / d[dexp]
+        quot[q] = c
+        rem = ref_add(rem, {tuple(x + y for x, y in zip(q, e)): -c * k
+                            for e, k in d.items()})
+    return quot
+
+
+def assert_normal(p):
+    """Lowest terms, positive denominator, no zero numerators."""
+    from math import gcd
+
+    assert isinstance(p._den, int) and p._den > 0
+    assert all(isinstance(n, int) and n for n in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+
+
+def test_poly_matches_fraction_reference():
+    hyp, st = _hypothesis()
+    point = st.tuples(*[st.fractions(-6, 6, max_denominator=7)] * len(VARS))
+
+    @_settings(hyp)
+    @hyp.given(_polys(st), _polys(st), point)
+    def check(ta, tb, pt):
+        a, b = Poly(VARS, ta), Poly(VARS, tb)
+        ra, rb = ref_clean(ta), ref_clean(tb)
+        assert dict(a.terms) == ra
+        cases = [
+            (a + b, ref_add(ra, rb)),
+            (a - b, ref_add(ra, {e: -c for e, c in rb.items()})),
+            (-a, {e: -c for e, c in ra.items()}),
+            (a * b, ref_mul(ra, rb)),
+            (a * pt[0], ref_clean({e: c * pt[0] for e, c in ra.items()})),
+            (a**2, ref_mul(ra, ra)),
+        ]
+        cases += [(a.deriv(v), ref_deriv(ra, i)) for i, v in enumerate(VARS)]
+        for got, want in cases:
+            assert_normal(got)
+            assert dict(got.terms) == want
+        assert a.evaluate(dict(zip(VARS, pt))) == ref_evaluate(ra, pt)
+
+    check()
+
+
+def test_poly_ring_laws():
+    hyp, st = _hypothesis()
+
+    @_settings(hyp)
+    @hyp.given(_polys(st), _polys(st), _polys(st))
+    def check(ta, tb, tc):
+        a, b, c = (Poly(VARS, t) for t in (ta, tb, tc))
+        zero, one = Poly.const(VARS, 0), Poly.const(VARS, 1)
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a
+        assert (a - a).is_zero() and a - a == zero
+        assert (a * zero).is_zero()
+
+    check()
+
+
+def test_exact_div_matches_reference_and_round_trips():
+    hyp, st = _hypothesis()
+    scale = st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(bool)
+
+    @_settings(hyp)
+    @hyp.given(_polys(st), _polys(st, max_exp=2, max_terms=3), scale)
+    def check(tp, tg, s):
+        p, g = Poly(VARS, tp), Poly(VARS, tg)
+        hyp.assume(not g.is_zero())
+        # divisors with rational and with non-primitive coefficients
+        for d in (g, g * s, g * 6, g.content_and_primitive()[1] * 4):
+            q = (p * d).exact_div(d)
+            assert q == p
+            assert_normal(q)
+        got = p.exact_div(g)
+        want = ref_exact_div(ref_clean(tp), ref_clean(tg))
+        if want is None:
+            assert got is None
+        else:
+            assert dict(got.terms) == want
+
+    check()
+
+
+def test_exact_div_rejects_a_non_integer_quotient_coefficient():
+    # the leading monomial x of 2x + 1 divides that of each numerator, but
+    # a quotient coefficient is not an integer: the first one for xy + 1,
+    # the second one for 2x^2 + 2x + 1 = (2x + 1) x + (x + 1)
+    g = Poly(VARS, {(1, 0, 0): 2, (0, 0, 0): 1})
+    for terms in ({(1, 1, 0): 1, (0, 0, 0): 1},
+                  {(2, 0, 0): 2, (1, 0, 0): 2, (0, 0, 0): 1}):
+        p = Poly(VARS, terms)
+        assert p.exact_div(g) is None
+        assert ref_exact_div(ref_clean(terms), ref_clean(g.terms)) is None
+    # scaled by a rational, the same numerators still do not divide, and
+    # a multiple of the divisor does
+    assert (p * Fraction(1, 2)).exact_div(g * 3) is None
+    assert (g * Fraction(5, 4)).exact_div(g * 3) == Poly.const(VARS, Fraction(5, 12))
+
+
+def test_terms_view_and_json_round_trip():
+    hyp, st = _hypothesis()
+
+    @_settings(hyp)
+    @hyp.given(_polys(st))
+    def check(t):
+        p = Poly(VARS, t)
+        view = p.terms
+        assert dict(view) == ref_clean(t)
+        assert all(isinstance(c, Fraction) for c in view.values())
+        with pytest.raises(TypeError):
+            view[(0, 0, 0)] = Fraction(1)
+        assert p.terms is view
+        back = Poly.from_json(p.to_json())
+        assert back == p and hash(back) == hash(p)
+        assert_normal(back)
+        assert (back._num, back._den) == (p._num, p._den)
+
+    check()
