@@ -23,14 +23,9 @@ from .genset import Construction
 
 @dataclass
 class LevelData:
-    """Everything a cascade level contributes to the projector."""
+    """What a cascade level contributes to the projector; the level's
+    roots are in the matching CascadeLevel."""
 
-    index: int
-    xi: tuple
-    gamma: tuple
-    pairing: dict
-    lifted: dict  # symbol -> LocElem available when the level is built
-    cartan_basis: list  # [(coeff vector over H1..Hr, LocElem)] still liftable
     denominator: object  # lifted center element, a LocElem
     stages: list  # [(Derivation, SlicePair)] for this level, xi first
 
@@ -62,7 +57,6 @@ class AdjointConstruction(Construction):
             self.levels.append(level)
             self.xi_elements.append(level.denominator)
             lifted, cartan_basis = self._lift_through(lv, lifted, cartan_basis)
-        self._final_lifted_cache = (lifted, cartan_basis)
 
         stages = [st for level in self.levels for st in level.stages]
         self.projector = Projector(stages, dset=self.dset, check=True)
@@ -77,7 +71,6 @@ class AdjointConstruction(Construction):
 
     def _build_level(self, lv, lifted, cartan_basis):
         basis = self.basis
-        snapshot = dict(lifted)
         e_xi = lifted[basis.pos_symbol[lv.xi]]
         e_xi_inv = e_xi.inverse()
 
@@ -110,16 +103,7 @@ class AdjointConstruction(Construction):
                 )
             )
 
-        return LevelData(
-            index=lv.index,
-            xi=lv.xi,
-            gamma=lv.gamma,
-            pairing=dict(lv.pairing),
-            lifted=snapshot,
-            cartan_basis=list(cartan_basis),
-            denominator=e_xi,
-            stages=stages,
-        )
+        return LevelData(denominator=e_xi, stages=stages)
 
     # -- Cartan bookkeeping ---------------------------------------------------
 
@@ -173,13 +157,9 @@ class AdjointConstruction(Construction):
             )
 
         # functional h -> xi(h) on simple-coroot coordinates
-        xi_row = [
-            [Fraction(rs.cartan_pairing(lv.xi, a)) for a, _ in
-             zip(rs.simple_roots, range(rs.rank))]
-        ]
+        xi_row = [rs.cartan_pairing(lv.xi, a) for a in rs.simple_roots]
         values = [
-            sum(c * v for c, v in zip(xi_row[0], vec))
-            for vec, _ in cartan_basis
+            sum(c * v for c, v in zip(xi_row, vec)) for vec, _ in cartan_basis
         ]
         new_cartan_basis = []
         for combo in linalg.nullspace([values], ncols=len(cartan_basis)):
@@ -246,7 +226,7 @@ class AdjointConstruction(Construction):
                 rhs.append(Fraction(target.get(delta, 0)))
         sol = linalg.solve(rows, rhs)
         if sol is None:
-            raise AssertionError("lift system inconsistent; upstream bug")
+            raise RuntimeError("lift system inconsistent; upstream bug")
         e_xi_inv = lifted[basis.pos_symbol[lv.xi]].inverse()
         result = LocElem.const(self.dset, 0)
         for c, (a, b) in zip(sol, pairs):
@@ -258,36 +238,6 @@ class AdjointConstruction(Construction):
                 )
                 result = result + term * c
         return result
-
-    # -- exposed lift for arbitrary elements -----------------------------------
-
-    def tilde_lift(self, x, through_level=None):
-        """Lift of a LieElement supported on generators still alive after
-        the given level (default: all levels).  Cartan parts must lie in
-        the subspace annihilated by the processed cascade roots."""
-        if through_level is None:
-            through_level = len(self.levels)
-        if through_level == len(self.levels):
-            lifted, cartan_basis = self._final_lifted_cache
-        else:
-            level = self.levels[through_level]
-            lifted, cartan_basis = level.lifted, level.cartan_basis
-        basis = self.basis
-        cartan_index = {h: i for i, h in enumerate(basis.cartan_symbols)}
-        cartan_vec = [Fraction(0)] * basis.rs.rank
-        acc = LocElem.const(self.dset, 0)
-        for sym, c in x.coefficients:
-            if sym in cartan_index:
-                cartan_vec[cartan_index[sym]] += Fraction(c)
-            elif sym in lifted:
-                acc = acc + lifted[sym] * c
-            else:
-                raise KeyError(
-                    f"{sym} is not liftable past level {through_level}"
-                )
-        if any(cartan_vec):
-            acc = acc + self._lift_cartan_vector(cartan_vec, cartan_basis)
-        return acc
 
     # -- generators ------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Command-line frontend.
 
 Commands: cascade, generators {adjoint|rep|conj}, verify, eval.  Every
-command takes --type/--rank (a Dynkin datum), --n (matrix size for
-conjugation), --format and --seed.  --seed (default 0) picks the random
-regular point of the Jacobian rank check in `generators`; no other step
-is randomized, so repeated runs with the same arguments produce
-byte-identical JSON.
+command takes --type/--rank (a Dynkin datum) and --format; generators,
+verify and eval also take --n (matrix size for conjugation).  Only
+generators takes --seed (default 0), which picks the random regular point
+of its Jacobian rank check; no other step is randomized, so repeated runs
+with the same arguments produce byte-identical JSON.
 Exit codes: 0 success, 2 invalid input, 3 verification failure.
 """
 
@@ -180,41 +180,40 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _common(sub):
-    sub.add_argument("--type", help="Dynkin series letter (A, B, C, D, E, F, G)")
-    sub.add_argument("--rank", type=int, help="rank of the root system")
-    sub.add_argument("--n", type=int, help="matrix size for conjugation")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--seed", type=int, default=0, help="Jacobian point seed")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="uproj",
         description="Symbolic projectors onto unipotent-invariant fields",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    datum = argparse.ArgumentParser(add_help=False)
+    datum.add_argument("--type", help="Dynkin series letter (A, B, C, D, E, F, G)")
+    datum.add_argument("--rank", type=int, help="rank of the root system")
+    datum.add_argument("--format", choices=("json", "text"), default="json")
+    universe = argparse.ArgumentParser(add_help=False, parents=[datum])
+    universe.add_argument("--n", type=int, help="matrix size for conjugation")
 
-    p = subs.add_parser("cascade", help="orthogonal maximal-root chain")
-    _common(p)
+    p = subs.add_parser("cascade", parents=[datum],
+                        help="orthogonal maximal-root chain")
     p.set_defaults(func=cmd_cascade)
 
-    p = subs.add_parser("generators", help="emit a verified generator set")
+    p = subs.add_parser("generators", parents=[universe],
+                        help="emit a verified generator set")
     p.add_argument("kind", choices=("adjoint", "rep", "conj"))
     p.add_argument("--file", help="representation JSON file (for rep)")
-    _common(p)
+    p.add_argument("--seed", type=int, default=0, help="Jacobian point seed")
     p.set_defaults(func=cmd_generators)
 
-    p = subs.add_parser("verify", help="check expressions for invariance")
+    p = subs.add_parser("verify", parents=[universe],
+                        help="check expressions for invariance")
     p.add_argument("--expr", action="append", help="expression (repeatable)")
     p.add_argument("--file", help="file with one expression per line")
-    _common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("eval", help="evaluate an expression at a point")
+    p = subs.add_parser("eval", parents=[universe],
+                        help="evaluate an expression at a point")
     p.add_argument("--expr", required=True)
     p.add_argument("--point", required=True, help='JSON object {"E_1": "3", ...}')
-    _common(p)
     p.set_defaults(func=cmd_eval)
     return parser
 

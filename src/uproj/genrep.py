@@ -37,7 +37,7 @@ class RepInput:
     basis vector, its values on the simple coroots.
     """
 
-    def __init__(self, basis, dim, matrices, weights, check=True):
+    def __init__(self, basis, dim, matrices, weights):
         self.basis = basis
         self.dim = int(dim)
         self.weights = [tuple(Fraction(w) for w in wt) for wt in weights]
@@ -51,8 +51,7 @@ class RepInput:
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise RepValidationError(f"matrix for {sym} is not dim x dim")
         self.rho = self._close_under_brackets(given)
-        if check:
-            self.validate()
+        self.validate()
 
     # -- matrix bookkeeping -------------------------------------------------
 
@@ -181,7 +180,7 @@ def load_rep(data):
     }
     weights = _rational_rows(data["weights"], '"weights"')
     basis = chevalley_constants(build_root_system(data["type"], rank))
-    return RepInput(basis, dim, matrices, weights, check=True)
+    return RepInput(basis, dim, matrices, weights)
 
 
 def defining_rep(basis):
@@ -251,16 +250,10 @@ class StageData:
     from it."""
 
     index: int
-    v0: list  # ambient coordinates
-    lowest_weight: tuple
     lowest_form: object  # ambient linear Poly, dual to v0 in the new basis
     m_roots: list  # ordered nilradical roots
-    levi_roots: tuple  # root subsystem fixed for the next stage
-    basis_vectors: list  # new ordered ambient basis of the current subspace
-    dual_forms: list  # matching ambient dual forms
     denominator: object  # transported lowest form, a LocElem
     stages: list  # [(Derivation, SlicePair)] in application order
-    w0_dim: int
 
 
 class RepConstruction(Construction):
@@ -291,24 +284,23 @@ class RepConstruction(Construction):
             stage, sub_basis, sub_forms, sub_weights, roots = data
             self.stages.append(stage)
             flat.extend(stage.stages)
-        self.final_basis = sub_basis
         self.final_forms = sub_forms
         self.projector = Projector(flat, dset=self.dset, check=True)
 
     # -- per-stage work -------------------------------------------------------
 
     @staticmethod
-    def _restricted(matrix, sub_basis):
-        """Matrix of an ambient operator in subspace coordinates."""
+    def _restricted(matrix, vectors):
+        """Matrix of an operator on the span of the given vectors, in their
+        coordinates."""
         # coordinates of every image from one elimination against the
-        # sub-basis vectors as columns
+        # vectors as columns
         cols = linalg.solve_columns(
-            list(zip(*sub_basis)), [linalg.mat_vec(matrix, v) for v in sub_basis]
+            list(zip(*vectors)), [linalg.mat_vec(matrix, v) for v in vectors]
         )
         if cols is None:
-            raise RepValidationError("operator does not preserve the stage subspace")
-        m = len(sub_basis)
-        return [[cols[j][i] for j in range(m)] for i in range(m)]
+            raise RepValidationError("operator does not preserve the span")
+        return [list(row) for row in zip(*cols)]
 
     def _weight_of(self, vec, sub_weights):
         wt = None
@@ -371,13 +363,13 @@ class RepConstruction(Construction):
                 v = [Fraction(0)] * m
                 for c, j in zip(combo, idxs):
                     v[j] = c
-                summands.append(self._generate(v, matrices_pos, m))
+                summands.append(self._generate(v, matrices_pos))
         total = sum(len(s) for s in summands)
         if total != len(indices):
             raise RepValidationError("summand decomposition does not fill the space")
         return summands
 
-    def _generate(self, v, matrices_pos, m):
+    def _generate(self, v, matrices_pos):
         vectors = [list(v)]
         rows = [list(v)]
         frontier = [list(v)]
@@ -385,9 +377,7 @@ class RepConstruction(Construction):
             nxt = []
             for w in frontier:
                 for mat in matrices_pos:
-                    img = [
-                        sum(mat[i][j] * w[j] for j in range(m)) for i in range(m)
-                    ]
+                    img = linalg.mat_vec(mat, w)
                     if any(img):
                         if linalg.rank(rows + [img]) > len(vectors):
                             vectors.append(img)
@@ -432,21 +422,18 @@ class RepConstruction(Construction):
             if any(self._same_span(cand, e) for e in excluded):
                 continue
             v0 = cand[0]
-            m_roots = [
-                a for a in pos
-                if any(
-                    sum(r_pos[a][i][j] * v0[j] for j in range(m))
-                    for i in range(m)
-                )
-            ]
-            if not m_roots:
+            # the m-orbit of v0: roots that move it, with their images
+            moved = [(a, linalg.mat_vec(r_pos[a], v0)) for a in pos]
+            moved = [(a, img) for a, img in moved if any(img)]
+            if not moved:
                 excluded.append(cand)
                 continue
-            chosen = (cand, v0, m_roots)
+            chosen = (cand, v0, moved)
             break
         if chosen is None:
             return None
-        cand, v0, m_roots = chosen
+        cand, v0, moved = chosen
+        m_roots = [a for a, _ in moved]
         levi = frozenset(
             s
             for a in pos
@@ -454,11 +441,7 @@ class RepConstruction(Construction):
             for s in (a, tuple(-c for c in a))
         )
 
-        new_vectors = [list(v0)]
-        for a in m_roots:
-            new_vectors.append(
-                [sum(r_pos[a][i][j] * v0[j] for j in range(m)) for i in range(m)]
-            )
+        new_vectors = [list(v0)] + [img for _, img in moved]
         k = len(m_roots)
 
         # invariant complement of <v0> + m.v0, greedily from the Levi
@@ -477,7 +460,6 @@ class RepConstruction(Construction):
             self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis)
             for a in levi_pos
         ]
-        cand_rows = [list(v) for v in cand]
         groups = [cand] + [
             s for s in summands if not self._same_span(s, cand)
         ]
@@ -524,26 +506,15 @@ class RepConstruction(Construction):
                 (d, SlicePair(d, q, witness=(wj * Fraction(-1), den)))
             )
 
-        ambient_vectors = [
-            [
-                sum(sub_basis[c][i] * v[c] for c in range(m))
-                for i in range(rep.dim)
-            ]
-            for v in new_vectors
-        ]
+        # ambient coordinates: rows of new_vectors combine sub_basis rows
+        ambient_vectors = linalg.mat_mul(new_vectors, sub_basis)
         new_weights = [self._weight_of(v, sub_weights) for v in new_vectors]
         stage = StageData(
             index=len(self.stages) + 1,
-            v0=ambient_vectors[0],
-            lowest_weight=new_weights[0],
             lowest_form=new_forms[0],
-            m_roots=list(m_roots),
-            levi_roots=tuple(sorted(levi)),
-            basis_vectors=ambient_vectors,
-            dual_forms=new_forms,
+            m_roots=m_roots,
             denominator=den,
             stages=stage_list,
-            w0_dim=len(cand),
         )
         keep = [0] + list(range(k + 1, m))
         next_basis = [ambient_vectors[i] for i in keep]
@@ -554,39 +525,17 @@ class RepConstruction(Construction):
     def _decompose_span(self, vectors, l_pos, l_neg, sub_weights):
         """Irreducible Levi summands of the span of the given vectors,
         returned in subspace coordinates."""
-        m = len(sub_weights)
         if not l_neg:
             return [[list(v)] for v in vectors]
         # work in coordinates of the span
         inner_weights = [self._weight_of(v, sub_weights) for v in vectors]
-
-        def restrict(mat):
-            cols = linalg.solve_columns(
-                list(zip(*vectors)),
-                [linalg.mat_vec(mat, v) for v in vectors],
-            )
-            if cols is None:
-                raise RepValidationError("Levi does not preserve a summand")
-            d = len(vectors)
-            return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-        rp = [restrict(x) for x in l_pos]
-        rn = [restrict(x) for x in l_neg]
+        rp = [self._restricted(x, vectors) for x in l_pos]
+        rn = [self._restricted(x, vectors) for x in l_neg]
         inner = self._decompose(
             list(range(len(vectors))), rp, rn, inner_weights
         )
-        out = []
-        for s in inner:
-            lifted = []
-            for v in s:
-                lifted.append(
-                    [
-                        sum(vectors[c][i] * v[c] for c in range(len(vectors)))
-                        for i in range(m)
-                    ]
-                )
-            out.append(lifted)
-        return out
+        # back to subspace coordinates: rows of s combine the vectors
+        return [linalg.mat_mul(s, vectors) for s in inner]
 
     @staticmethod
     def _same_span(a, b):

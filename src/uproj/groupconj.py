@@ -136,7 +136,6 @@ def matrix_elements(n):
 @dataclass
 class ConjStage:
     pair: tuple  # (a, b)
-    root: tuple  # simple-root coefficients
     nu: int
     derivation: object
     slice_pair: object
@@ -166,21 +165,13 @@ class ConjugationConstruction(Construction):
             q = num * d_inv[k - 1]
             sp = SlicePair(deriv, q, witness=(num, self.d[k - 1]))
             self.stages.append(
-                ConjStage(pair=(a, b), root=root, nu=k, derivation=deriv,
-                          slice_pair=sp)
+                ConjStage(pair=(a, b), nu=k, derivation=deriv, slice_pair=sp)
             )
         # application order: the largest root first
         flat = [
             (st.derivation, st.slice_pair) for st in reversed(self.stages)
         ]
         self.projector = Projector(flat, dset=self.dset, check=True)
-
-    def stage_of(self, root):
-        root = tuple(root)
-        for st in self.stages:
-            if root in (st.root, st.pair, tuple(self.rs.coefficients(st.root))):
-                return st
-        raise KeyError(f"{root} is not a positive root here")
 
     def _generators(self):
         entries = []

@@ -85,7 +85,7 @@ class ChevalleyBasis:
     F_<coeffs> for negative roots (F_c spans the -alpha root space).
     """
 
-    def __init__(self, rs, jacobi_check=True):
+    def __init__(self, rs):
         self.rs = rs
         self.positive_roots = rs.positive_roots
         self._root_set = rs._root_set
@@ -120,8 +120,7 @@ class ChevalleyBasis:
                     self._extraspecial[gamma] = (alpha, beta)
                     break
         self._nmemo = {}
-        if jacobi_check:
-            self.check_jacobi(exhaustive=rs.rank <= 4)
+        self.check_jacobi(exhaustive=rs.rank <= 4)
 
     # -- root bookkeeping -------------------------------------------------
 
@@ -308,48 +307,12 @@ class ChevalleyBasis:
                 + self.bracket(z, self.bracket(x, y))
             )
             if not total.is_zero():
-                raise AssertionError(
+                raise RuntimeError(
                     f"Jacobi identity fails on ({u}, {v}, {w}): {total}"
                 )
-
-    # -- export -----------------------------------------------------------------
-
-    def structure_table_json(self):
-        table = []
-        for a in self.positive_roots:
-            for b in self.positive_roots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in self._root_set:
-                    n = self.structure_constant(a, b)
-                    table.append(
-                        {
-                            "alpha": list(a),
-                            "beta": list(b),
-                            "num": str(n.numerator),
-                            "den": str(n.denominator),
-                        }
-                    )
-        return {
-            "series": self.rs.series,
-            "rank": self.rs.rank,
-            "symbols": list(self.symbols),
-            "constants": table,
-        }
 
 
 def chevalley_constants(rs):
     """Build the Chevalley basis for a root system."""
     return ChevalleyBasis(rs)
 
-
-def bracket(a, b):
-    if a.basis is not b.basis:
-        raise BasisMismatch("elements over different bases")
-    return a.basis.bracket(a, b)
-
-
-def coroot(basis, alpha):
-    alpha = tuple(alpha)
-    if alpha not in basis._root_set:
-        raise ValueError(f"{alpha} is not a root")
-    return basis.coroot(alpha)

@@ -135,11 +135,12 @@ class Derivation:
 
 class SlicePair:
     """Slice element q with D(q) = 1, with an optional witness (a1, a0),
-    D(a1) = a0, from which q = a1 / a0 was built."""
+    D(a1) = a0, from which q = a1 / a0 was built.  A q with D(q) = -1 is
+    negated, together with a0."""
 
-    def __init__(self, derivation, q, witness=None, normalize_sign=True):
+    def __init__(self, derivation, q, witness=None):
         r = derivation.apply(q)
-        if normalize_sign and r == LocElem.const(q.dset, -1):
+        if r == LocElem.const(q.dset, -1):
             q = -q
             r = derivation.apply(q)
             if witness is not None:
@@ -156,13 +157,16 @@ class SlicePair:
         return f"SlicePair({self.q})"
 
 
-def smap(derivation, slice_pair, a, iter_cap=None):
-    """Slice exponential: sum_k (-1)^k D^k(a) q^k / k!."""
+def smap(derivation, slice_pair, a):
+    """Slice exponential: sum_k (-1)^k D^k(a) q^k / k!.
+
+    Raises NotLocallyNilpotent when D^k(a) is still nonzero past
+    k = 10 deg(a) + 16.
+    """
     if isinstance(a, Poly):
         a = LocElem(derivation.dset, a)
     q = slice_pair.q
-    if iter_cap is None:
-        iter_cap = 10 * a.total_degree() + 16
+    iter_cap = 10 * a.total_degree() + 16
     result = a
     cur = a
     qpow = LocElem.const(a.dset, 1)
@@ -215,11 +219,11 @@ class Projector:
                         f"expected {expected}, got {r}"
                     )
 
-    def apply(self, a, iter_cap=None):
+    def apply(self, a):
         if isinstance(a, Poly):
             a = LocElem(self.dset, a)
         for d, s in self.stages:
-            a = smap(d, s, a, iter_cap=iter_cap)
+            a = smap(d, s, a)
         return a
 
     @property
@@ -246,13 +250,12 @@ def _random_point(rng, names, lo=-9, hi=9):
     return {v: Fraction(rng.randint(lo, hi)) for v in names}
 
 
-def sample_regular_point(dset, rng, extra=(), attempts=200):
-    """Random integer point where all denominator generators (and any extra
-    polynomials) are nonzero."""
-    targets = list(dset.gens) + list(extra)
-    for _ in range(attempts):
+def sample_regular_point(dset, rng):
+    """Random integer point where all denominator generators are nonzero,
+    from at most 200 draws."""
+    for _ in range(200):
         point = _random_point(rng, dset.vars)
-        if all(g.evaluate(point) != 0 for g in targets):
+        if all(g.evaluate(point) != 0 for g in dset.gens):
             return point
     raise RuntimeError("could not sample a regular point")
 
@@ -309,15 +312,9 @@ def _sample_sigma_point(dset, witnesses, rng, attempts):
         if linear:
             # resolve the linear constraints exactly, keeping the random
             # values for the free coordinates
-            rows = []
-            rhs = []
-            for p in linear:
-                row = [p.deriv(v).constant_value() for v in names]
-                c = Fraction(0)
-                zero = {v: Fraction(0) for v in names}
-                c = p.evaluate(zero)
-                rows.append(row)
-                rhs.append(-c)
+            zero = dict.fromkeys(names, Fraction(0))
+            rows = [[p.deriv(v).constant_value() for v in names] for p in linear]
+            rhs = [-p.evaluate(zero) for p in linear]
             _, pivots = linalg.rref(rows)
             pivot_names = [names[c] for c in pivots]
             adjusted = dict(point)

@@ -36,53 +36,29 @@ _ROOT_COUNTS = {
 }
 
 
+# classical series: minimum rank and the trailing coordinates of the last
+# simple root after the e_i - e_{i+1} chain (A has none, so it lives in
+# rank + 1 coordinates)
+_CLASSICAL = {"A": (1, ()), "B": (2, (1,)), "C": (2, (2,)), "D": (4, (1, 1))}
+
+
 def _simple_roots(series, rank):
     """Simple roots as integer ambient vectors plus the form scale."""
-    if series == "A":
-        if rank < 1:
-            raise InvalidDynkinDatum(f"A requires rank >= 1, got {rank}")
-        dim = rank + 1
-        simples = []
-        for i in range(rank):
-            v = [0] * dim
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(v))
-        return simples, Fraction(1)
-    if series == "B":
-        if rank < 2:
-            raise InvalidDynkinDatum(f"B requires rank >= 2, got {rank}")
-        simples = []
-        for i in range(rank - 1):
-            v = [0] * rank
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(v))
-        last = [0] * rank
-        last[-1] = 1
-        simples.append(tuple(last))
-        return simples, Fraction(1)
-    if series == "C":
-        if rank < 2:
-            raise InvalidDynkinDatum(f"C requires rank >= 2, got {rank}")
-        simples = []
-        for i in range(rank - 1):
-            v = [0] * rank
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(v))
-        last = [0] * rank
-        last[-1] = 2
-        simples.append(tuple(last))
-        return simples, Fraction(1)
-    if series == "D":
-        if rank < 4:
-            raise InvalidDynkinDatum(f"D requires rank >= 4, got {rank}")
-        simples = []
-        for i in range(rank - 1):
-            v = [0] * rank
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(v))
-        last = [0] * rank
-        last[-2], last[-1] = 1, 1
-        simples.append(tuple(last))
+    # the isinstance test keeps an unhashable series (from a rep file) on
+    # the InvalidDynkinDatum path below
+    if isinstance(series, str) and series in _CLASSICAL:
+        min_rank, tail = _CLASSICAL[series]
+        if rank < min_rank:
+            raise InvalidDynkinDatum(
+                f"{series} requires rank >= {min_rank}, got {rank}"
+            )
+        dim = rank if tail else rank + 1
+        simples = [
+            tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(dim))
+            for i in range(dim - 1)
+        ]
+        if tail:
+            simples.append((0,) * (dim - len(tail)) + tail)
         return simples, Fraction(1)
     if series == "G":
         if rank != 2:
@@ -123,7 +99,7 @@ def _reflect(beta, alpha):
     # 2(beta,alpha)/(alpha,alpha) is scale-free, so plain dot products do.
     c = Fraction(2 * _dot(beta, alpha), _dot(alpha, alpha))
     if c.denominator != 1:
-        raise AssertionError("non-integral Cartan pairing")
+        raise RuntimeError("non-integral Cartan pairing")
     c = int(c)
     return tuple(b - c * a for b, a in zip(beta, alpha))
 
@@ -152,14 +128,6 @@ class RootSystem:
     def _root_set(self):
         return frozenset(self.roots)
 
-    @property
-    def bilinear_form(self):
-        dim = len(self.simple_roots[0])
-        return [
-            [self.form_scale if i == j else Fraction(0) for j in range(dim)]
-            for i in range(dim)
-        ]
-
     @cached_property
     def _coefficient_table(self):
         rows = [list(map(Fraction, r)) for r in zip(*self.simple_roots)]
@@ -167,7 +135,7 @@ class RootSystem:
         for root in self.roots:
             sol = linalg.solve(rows, list(root))
             if sol is None or any(c.denominator != 1 for c in sol):
-                raise AssertionError(f"{root} is not an integral root")
+                raise RuntimeError(f"{root} is not an integral root")
             table[root] = tuple(int(c) for c in sol)
         return table
 
@@ -197,21 +165,6 @@ class RootSystem:
             raise ValueError(f"non-integral Cartan pairing <{beta}, {alpha}>: {c}")
         return int(c)
 
-    def to_json(self):
-        return {
-            "series": self.series,
-            "rank": self.rank,
-            "roots": [list(r) for r in self.roots],
-            "simple_roots": [list(r) for r in self.simple_roots],
-            "bilinear_form": [
-                [
-                    {"num": str(x.numerator), "den": str(x.denominator)}
-                    for x in row
-                ]
-                for row in self.bilinear_form
-            ],
-        }
-
 
 def build_root_system(series, rank):
     """Construct an irreducible root system with Bourbaki simple roots."""
@@ -232,7 +185,7 @@ def build_root_system(series, rank):
     roots |= {tuple(-x for x in v) for v in roots}
     expected = 2 * _ROOT_COUNTS[series](rank)
     if len(roots) != expected:
-        raise AssertionError(
+        raise RuntimeError(
             f"{series}{rank}: got {len(roots)} roots, expected {expected}"
         )
     ordered = sorted(roots)
@@ -318,7 +271,7 @@ def kostant_cascade(rs):
             max_h = max(rs.height(r) for r in comp)
             tops = [r for r in comp if rs.height(r) == max_h]
             if len(tops) != 1:
-                raise AssertionError(
+                raise RuntimeError(
                     f"highest root not unique in component {comp}"
                 )
             xi = tops[0]
@@ -330,7 +283,7 @@ def kostant_cascade(rs):
                     continue
                 partner = tuple(x - y for x, y in zip(xi, a))
                 if partner not in set(gamma) or partner == a:
-                    raise AssertionError(f"no pairing partner for {a}")
+                    raise RuntimeError(f"no pairing partner for {a}")
                 pairing[a] = partner
             levels.append(
                 CascadeLevel(
@@ -349,10 +302,3 @@ def kostant_cascade(rs):
         entries=tuple(lv.xi for lv in levels), levels=tuple(levels)
     )
 
-
-def heisenberg_partition(rs, cascade, level):
-    """Gamma_i and the involution on Gamma_i^0 for a 1-based level index."""
-    if not 1 <= level <= len(cascade.levels):
-        raise IndexError(f"level {level} out of range 1..{len(cascade.levels)}")
-    lv = cascade.levels[level - 1]
-    return lv.gamma, dict(lv.pairing)

@@ -9,10 +9,6 @@ polynomial numerator and a formal monomial denominator over a declared
 multiplicative set of generator polynomials; cancellation happens only by
 exact division against those generators, so normal forms stay cheap and
 canonical.
-
-The Poisson bracket of a symmetric algebra S(g) lives here as well: it is
-determined by a bracket table on the degree-1 variables (supplied by a
-Chevalley basis) and extended by Leibniz and the quotient rule.
 """
 
 from __future__ import annotations
@@ -284,19 +280,6 @@ class Poly:
                     t *= a**e
             total += t
         return Fraction(total, self._den * bpow[deg])
-
-    def substitute_linear(self, new_vars, images):
-        """Substitute each variable by a linear Poly over new_vars."""
-        new_vars = tuple(new_vars)
-        imgs = [images[v] for v in self.vars]
-        result = Poly(new_vars)
-        for exp, c in self.terms.items():
-            term = Poly.const(new_vars, c)
-            for img, e in zip(imgs, exp):
-                if e:
-                    term = term * img**e
-            result = result + term
-        return result
 
     # -- normal form helpers -------------------------------------------
 
@@ -694,33 +677,3 @@ class LocElem:
             den[d["gen_index"]] = d["power"]
         return cls(dset, num, den)
 
-
-def poisson_bracket(basis, a, b):
-    """Poisson bracket on S(g) extended to localized elements.
-
-    ``basis`` must expose ``symbols`` (the variable tuple) and
-    ``variable_bracket(u, v) -> Poly`` giving the Lie bracket of two basis
-    variables as a linear polynomial.
-    """
-    if not isinstance(a, LocElem) or not isinstance(b, LocElem):
-        raise TypeError("poisson_bracket expects LocElem operands")
-    a._check(b)
-    symbols = tuple(basis.symbols)
-    if a.dset.vars != symbols:
-        raise UniverseMismatch("variable universe is not the Lie basis")
-    da = {v: a.deriv(v) for v in symbols}
-    db = {v: b.deriv(v) for v in symbols}
-    result = LocElem.const(a.dset, 0)
-    for i, u in enumerate(symbols):
-        for v in symbols[i + 1 :]:
-            if (da[u].is_zero() or db[v].is_zero()) and (
-                da[v].is_zero() or db[u].is_zero()
-            ):
-                continue
-            braq = basis.variable_bracket(u, v)
-            if braq.is_zero():
-                continue
-            cross = da[u] * db[v] - da[v] * db[u]
-            if not cross.is_zero():
-                result = result + cross * LocElem(a.dset, braq)
-    return result

@@ -160,15 +160,6 @@ def test_cascade_denominators_are_invariant(adjoint_of):
             assert d.apply(xi_elem).is_zero()
 
 
-def test_tilde_lift_rejects_dead_symbols(adjoint_of):
-    c = adjoint_of("A", 2)
-    # the highest-root vector is consumed by level 1
-    sym = c.basis.pos_symbol[c.cascade.entries[0]]
-    x = LieElement.make(c.basis, {sym: Fraction(1)})
-    with pytest.raises(KeyError):
-        c.tilde_lift(x)
-
-
 def test_cartan_complement_is_orthogonal_kernel(adjoint_of):
     c = adjoint_of("A", 3)
     comp = c.cartan_complement()

@@ -167,6 +167,8 @@ REP_FILE = "<rep file>"
         (("generators", "rep", "--file", REP_FILE),
          {k: v for k, v in SL2_REP.items() if k != "rank"}, "rank"),
         (("generators", "rep", "--file", REP_FILE), [SL2_REP], "JSON object"),
+        (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "type": ["A"]},
+         "unknown series"),
         (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
           "--point", "[1]"), None, "JSON object"),
         (("verify", "--type", "A", "--rank", "1", "--expr", "1/0"), None,
@@ -180,9 +182,19 @@ REP_FILE = "<rep file>"
          "unrecognized"),
         (("generators", "conj", "--n", "2", "--iter-cap", "9"), None,
          "unrecognized"),
+        # options a subcommand does not read
+        (("cascade", "--type", "A", "--rank", "2", "--seed", "0"), None,
+         "unrecognized"),
+        (("cascade", "--type", "A", "--rank", "2", "--n", "3"), None,
+         "unrecognized"),
+        (("verify", "--type", "A", "--rank", "1", "--expr", "E_1",
+          "--seed", "1"), None, "unrecognized"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
+          "--point", '{"H1": "1"}', "--seed", "1"), None, "unrecognized"),
     ],
-    ids=["rep-no-rank", "rep-list", "point-list", "zero-divisor", "conj-n1",
-         "trials", "jobs", "degree-cap", "iter-cap"],
+    ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
+         "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
+         "cascade-n", "verify-seed", "eval-seed"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"

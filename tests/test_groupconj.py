@@ -106,7 +106,7 @@ def test_corner_minors_are_bi_invariant():
 
 def test_slice_pairing_n2():
     c = conj_of(2)
-    st = c.stage_of((1, 2))
+    st = next(st for st in c.stages if st.pair == (1, 2))
     assert st.nu == 1
     num, den = st.slice_pair.witness
     assert st.derivation.apply(num) == den
@@ -226,7 +226,9 @@ def test_char_poly_coefficients_are_fixed_and_trace_in_span():
 
 
 def test_stage_of_by_root_coefficients():
-    sp = conj_of(2).stage_of((1,)).slice_pair
+    # the one positive root (1,) of A1 is the pair (1, 2)
+    c = conj_of(2)
+    sp = next(st for st in c.stages if st.pair == (1, 2)).slice_pair
     num, den = sp.witness
     assert str(den) == "s_2_1"
 

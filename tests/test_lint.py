@@ -1,0 +1,26 @@
+"""Source checks over the library modules."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "uproj"
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_runtime_invariants_raise_real_exceptions():
+    # `python -O` strips assert statements, and an AssertionError reads as
+    # a failed test, not as a failed check of the library
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and _raises_assertion_error(node)
+            ):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"assert or AssertionError at {found}"

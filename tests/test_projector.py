@@ -6,6 +6,7 @@ import pytest
 from uproj import linalg
 from uproj.projector import (
     Derivation,
+    NotLocallyNilpotent,
     Projector,
     SlicePair,
     TriangularityError,
@@ -84,6 +85,23 @@ def test_projector_composes_stages():
     # images are invariant: both derivations kill them
     out = p.apply(z * z + x + y ** 2)
     assert dx.apply(out).is_zero() and dy.apply(out).is_zero()
+
+
+def test_not_locally_nilpotent_raises_at_the_cap():
+    # D = d/dx + y d/dy has the slice x, but D(y) = y, so no power of D
+    # kills y and the series for y never ends
+    dset = make_dset()
+    d = Derivation(
+        dset,
+        {"x": Poly.const(VARS, 1), "y": Poly.variable(VARS, "y")},
+        label="d/dx + y d/dy",
+    )
+    y = LocElem.variable(dset, "y")
+    sp = SlicePair(d, LocElem.variable(dset, "x"))
+    p = Projector([(d, sp)], dset=dset)
+    for project in (lambda a: smap(d, sp, a), p.apply):
+        with pytest.raises(NotLocallyNilpotent, match=r"d/dx \+ y d/dy"):
+            project(y)
 
 
 def test_triangularity_violation_detected():

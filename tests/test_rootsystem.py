@@ -1,11 +1,13 @@
+import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from uproj import cli
 from uproj.rootsystem import (
     InvalidDynkinDatum,
     build_root_system,
-    heisenberg_partition,
     kostant_cascade,
 )
 
@@ -20,6 +22,9 @@ POSITIVE_ROOT_COUNTS = {
     ("D", 4): 12,
     ("G", 2): 6,
     ("F", 4): 24,
+    ("E", 6): 36,
+    ("E", 7): 63,
+    ("E", 8): 120,
 }
 
 # cascade roots as simple-root coefficient vectors, from the standard tables
@@ -32,6 +37,23 @@ CASCADES = {
     ("D", 4): [(1, 2, 1, 1), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
     ("G", 2): [(3, 2), (1, 0)],
 }
+
+# exceptional systems: cascade length, and the first cascade root, which is
+# the highest root in Bourbaki numbering
+EXCEPTIONAL = {
+    ("F", 4): (4, (2, 3, 4, 2)),
+    ("E", 6): (4, (1, 2, 2, 3, 2, 1)),
+    ("E", 7): (7, (2, 2, 3, 4, 3, 2, 1)),
+    ("E", 8): (8, (2, 3, 4, 6, 5, 4, 3, 2)),
+}
+
+CASCADE_SYSTEMS = sorted(CASCADES) + sorted(EXCEPTIONAL)
+
+
+@lru_cache(maxsize=None)
+def system_and_cascade(series, rank):
+    rs = build_root_system(series, rank)
+    return rs, kostant_cascade(rs)
 
 
 @pytest.mark.parametrize("series,rank", sorted(POSITIVE_ROOT_COUNTS))
@@ -92,22 +114,32 @@ def test_cascade_matches_tables(series, rank):
     assert got == CASCADES[(series, rank)]
 
 
-@pytest.mark.parametrize("series,rank", sorted(CASCADES))
+@pytest.mark.parametrize("series,rank", sorted(EXCEPTIONAL))
+def test_exceptional_cascade_length_and_highest_root(series, rank):
+    rs, cas = system_and_cascade(series, rank)
+    length, highest = EXCEPTIONAL[(series, rank)]
+    assert len(cas.entries) == length
+    assert rs.coefficients(cas.entries[0]) == highest
+    assert max(rs.positive_roots, key=rs.height) == cas.entries[0]
+
+
+@pytest.mark.parametrize("series,rank", CASCADE_SYSTEMS)
 def test_cascade_roots_pairwise_orthogonal(series, rank):
-    rs = build_root_system(series, rank)
-    cas = kostant_cascade(rs)
+    rs, cas = system_and_cascade(series, rank)
     for i, x in enumerate(cas.entries):
         for y in cas.entries[i + 1:]:
             assert rs.inner(x, y) == 0
+            # and strongly: neither x + y nor x - y is a root
+            assert not rs.is_root(tuple(a + b for a, b in zip(x, y)))
+            assert not rs.is_root(tuple(a - b for a, b in zip(x, y)))
 
 
-@pytest.mark.parametrize("series,rank", sorted(CASCADES))
+@pytest.mark.parametrize("series,rank", CASCADE_SYSTEMS)
 def test_heisenberg_layers_partition_positive_roots(series, rank):
-    rs = build_root_system(series, rank)
-    cas = kostant_cascade(rs)
+    rs, cas = system_and_cascade(series, rank)
     seen = []
     for lv in cas.levels:
-        gamma, pairing = heisenberg_partition(rs, cas, lv.index)
+        gamma, pairing = lv.gamma, lv.pairing
         assert lv.xi in gamma
         # every non-central member pairs to xi
         for a in gamma:
@@ -124,16 +156,26 @@ def test_heisenberg_layers_partition_positive_roots(series, rank):
     assert sorted(seen) == sorted(rs.positive_roots)
 
 
-def test_heisenberg_partition_bad_level():
-    rs = build_root_system("A", 2)
-    cas = kostant_cascade(rs)
-    with pytest.raises(IndexError):
-        heisenberg_partition(rs, cas, 2)
-
-
 def test_cascade_json_shape():
     rs = build_root_system("A", 3)
     data = kostant_cascade(rs).to_json()
     assert set(data) == {"entries", "levels"}
     assert len(data["entries"]) == 2
     assert data["levels"][0]["index"] == 1
+
+
+# sha256 of `uproj cascade --type T --rank R` stdout, recorded before the
+# classical simple roots were built from one shared chain
+CASCADE_STDOUT_SHA256 = {
+    ("F", 4): "109ad11d0bebd6b12858e69a66c5aad7c27957528a55d1fb1e1db3e06f88033b",
+    ("E", 6): "07327e3471b486f54acc1f355688cb804cc1f9f09eaed3082b85db2e1e397bb9",
+    ("E", 7): "bf1f8a600000e465448740b6c801610c2843e5551601bf0d712ce32a769aafb9",
+    ("E", 8): "3f2bf621ac4d9407d810558bd8c7624ccf432f2a92a8626e618271c5434d8e6b",
+}
+
+
+@pytest.mark.parametrize("series,rank", sorted(CASCADE_STDOUT_SHA256))
+def test_exceptional_cascade_stdout_is_pinned(capsys, series, rank):
+    assert cli.main(["cascade", "--type", series, "--rank", str(rank)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CASCADE_STDOUT_SHA256[(series, rank)]

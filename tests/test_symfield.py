@@ -80,21 +80,6 @@ def test_coefficient_of_and_linear():
     assert p.coefficient_of("z") == -1
 
 
-def test_substitute_linear_matches_evaluation():
-    rng = random.Random(14)
-    new_vars = ("u", "v", "w")
-    for _ in range(10):
-        p = rand_poly(rng)
-        images = {
-            v: Poly.linear(new_vars, {nv: Fraction(rng.randint(-3, 3)) for nv in new_vars})
-            for v in VARS
-        }
-        q = p.substitute_linear(new_vars, images)
-        pt = {nv: Fraction(rng.randint(-4, 4)) for nv in new_vars}
-        lifted = {v: img.evaluate(pt) for v, img in images.items()}
-        assert q.evaluate(pt) == p.evaluate(lifted)
-
-
 def test_universe_mismatch_raises():
     p = Poly(("x",), {(1,): 1})
     q = Poly(("y",), {(1,): 1})
@@ -379,5 +364,114 @@ def test_terms_view_and_json_round_trip():
         assert back == p and hash(back) == hash(p)
         assert_normal(back)
         assert (back._num, back._den) == (p._num, p._den)
+
+    check()
+
+
+# -- property tests of LocElem ---------------------------------------------
+#
+# Every example builds its own DenominatorSet: division registers new
+# generators, so a shared one would carry state from example to example.
+
+
+def _loc_case(st, count):
+    """Strategy for generator terms and `count` (numerator terms,
+    denominator exponents) pairs."""
+    gens = st.lists(_polys(st, max_exp=1, max_terms=3), min_size=1, max_size=2)
+    elem = st.tuples(
+        _polys(st, max_exp=2, max_terms=3), st.lists(st.integers(0, 2), max_size=2)
+    )
+    return st.tuples(gens, st.lists(elem, min_size=count, max_size=count))
+
+
+def _build(hyp, case):
+    """A fresh DenominatorSet of the drawn generators, and the elements."""
+    gen_terms, elems = case
+    gens = [Poly(VARS, t) for t in gen_terms]
+    hyp.assume(not any(g.is_constant() for g in gens))
+    dset = DenominatorSet(VARS, gens)
+    return dset, [
+        LocElem(dset, Poly(VARS, t), den[: len(dset)]) for t, den in elems
+    ]
+
+
+def assert_reduced(a):
+    """_reduce's normal form: no trailing zero exponent, and no generator
+    with a positive exponent divides the numerator."""
+    assert not a.den or a.den[-1] > 0
+    for i, e in enumerate(a.den):
+        if e:
+            assert a.num.exact_div(a.dset.gens[i]) is None
+
+
+def test_locelem_normal_form_and_ring_laws():
+    hyp, st = _hypothesis()
+
+    @_settings(hyp)
+    @hyp.given(_loc_case(st, 3))
+    def check(case):
+        dset, (a, b, c) = _build(hyp, case)
+        zero, one = LocElem.const(dset, 0), LocElem.const(dset, 1)
+        for x in (a, b, c, a + b, a - b, a * b, -a, a * Fraction(-2, 3)):
+            assert_reduced(x)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a
+        assert (a - a).is_zero() and (a * zero).is_zero()
+
+    check()
+
+
+def test_locelem_division_round_trip():
+    hyp, st = _hypothesis()
+
+    @_settings(hyp)
+    @hyp.given(_loc_case(st, 2))
+    def check(case):
+        dset, (a, b) = _build(hyp, case)
+        hyp.assume(not b.is_zero())
+        q = (a * b) / b
+        assert_reduced(q)
+        assert q == a
+
+    check()
+
+
+def test_locelem_deriv_leibniz_and_quotient_rule():
+    hyp, st = _hypothesis()
+
+    @_settings(hyp)
+    @hyp.given(_loc_case(st, 2))
+    def check(case):
+        dset, (a, b) = _build(hyp, case)
+        for v in VARS:
+            da, db = a.deriv(v), b.deriv(v)
+            assert_reduced(da)
+            assert (a * b).deriv(v) == da * b + a * db
+            if not b.is_zero():
+                assert (a / b).deriv(v) == (da * b - a * db) / (b * b)
+
+    check()
+
+
+def test_locelem_evaluate_is_a_ring_homomorphism():
+    hyp, st = _hypothesis()
+    point = st.tuples(*[st.fractions(-6, 6, max_denominator=7)] * len(VARS))
+
+    @_settings(hyp)
+    @hyp.given(_loc_case(st, 2), point)
+    def check(case, pt):
+        dset, (a, b) = _build(hyp, case)
+        pt = dict(zip(VARS, pt))
+        hyp.assume(all(g.evaluate(pt) != 0 for g in dset.gens))
+        va, vb = a.evaluate(pt), b.evaluate(pt)
+        assert (a + b).evaluate(pt) == va + vb
+        assert (a - b).evaluate(pt) == va - vb
+        assert (a * b).evaluate(pt) == va * vb
+        assert LocElem.const(dset, 1).evaluate(pt) == 1
+        if vb != 0:
+            assert (a / b).evaluate(pt) == va / vb
 
     check()
