@@ -15,13 +15,13 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .adjoint import AdjointConstruction
 from .exprparse import ParseError, parse_expression
 from .genrep import RepConstruction, RepValidationError, load_rep
 from .groupconj import ConjugationConstruction
 from .liealg import chevalley_constants
+from .linalg import read_rational
 from .projector import verify_invariance
 from .rootsystem import InvalidDynkinDatum, build_root_system, kostant_cascade
 from .symfield import SingularPointError
@@ -165,11 +165,12 @@ def cmd_eval(args):
         point = json.loads(args.point)
         if not isinstance(point, dict):
             raise ValueError("--point must be a JSON object")
-        value = elem.evaluate(
-            {k: Fraction(str(v)) for k, v in point.items()}
-        )
-    except (InvalidDynkinDatum, ParseError, SingularPointError,
-            ValueError, KeyError) as e:
+        values = {k: read_rational(v) for k, v in point.items()}
+        missing = [v for v in dset.vars if v not in values]
+        if missing:
+            raise ValueError(f"--point has no value for {missing[0]!r}")
+        value = elem.evaluate(values)
+    except (InvalidDynkinDatum, ParseError, SingularPointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     payload = {

@@ -133,7 +133,10 @@ def parse_expression(text, dset):
     if not tokens:
         raise ParseError("empty expression")
     p = _Parser(tokens, dset)
-    out = p.expr()
+    try:
+        out = p.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if p.peek() is not None:
         raise ParseError(f"trailing input from {p.peek()[1]!r}")
     return out

@@ -149,9 +149,9 @@ def _rational_rows(value, what):
     ):
         raise RepValidationError(f"{what} must be a list of rows")
     try:
-        return [[Fraction(c) for c in row] for row in value]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise RepValidationError(f"{what} has a non-rational entry") from None
+        return [[linalg.read_rational(c) for c in row] for row in value]
+    except ValueError as e:
+        raise RepValidationError(f"{what} has a non-rational entry: {e}") from None
 
 
 def load_rep(data):

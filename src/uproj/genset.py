@@ -19,10 +19,6 @@ class GeneratorSet:
     report: dict = field(default_factory=lambda: {"checks": []})
 
     @property
-    def names(self):
-        return [n for n, _ in self.entries]
-
-    @property
     def elements(self):
         return [e for _, e in self.entries]
 
@@ -30,11 +26,7 @@ class GeneratorSet:
         return len(self.entries)
 
     def all_verified(self):
-        return all(
-            c["status"] == "pass"
-            for c in self.report["checks"]
-            if c["status"] != "inconclusive"
-        )
+        return all(c["status"] == "pass" for c in self.report["checks"])
 
     def to_json(self):
         return {

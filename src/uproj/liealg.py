@@ -282,10 +282,6 @@ class ChevalleyBasis:
     def element(self, symbol):
         return LieElement.make(self, {symbol: 1})
 
-    def variable_bracket(self, u, v):
-        """Bracket of two basis variables as a linear Poly (Poisson table)."""
-        return self._bracket_symbols(u, v).to_poly()
-
     # -- consistency ----------------------------------------------------------
 
     def check_jacobi(self, exhaustive=True, sample=300):

@@ -14,6 +14,21 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def read_rational(value):
+    """A rational from outside: an int, or its text as an integer, p/q or
+    a decimal.  Exponent notation raises ValueError, since
+    Fraction("1e999999999") builds 10^999999999."""
+    text = str(value)
+    try:
+        if "e" not in text.lower():
+            return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        pass
+    raise ValueError(f"not an integer, p/q or decimal: {text!r}")
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (matrix, pivot_columns)."""
     m = frac_matrix(rows)

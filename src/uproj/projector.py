@@ -1,12 +1,13 @@
 """Locally nilpotent derivation engine.
 
-S-maps, composed projectors, invariance verification and the sampled
-cross-section checks.  Everything here is exact; local nilpotency is a
-runtime contract enforced by an iteration cap.
+S-maps, composed projectors, the projector at a point, invariance
+verification and the cross-section checks.  Everything here is exact;
+local nilpotency is a runtime contract enforced by an iteration cap.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -226,6 +227,39 @@ class Projector:
             a = smap(d, s, a)
         return a
 
+    def image_point(self, point):
+        """pi(x), the point with P(f)(x) = f(pi(x)) for every f.
+
+        Each stage derivation D is an affine vector field whose linear part
+        is nilpotent, so its s-map is a flow: smap(f)(y) = f(exp(-q(y) D) y).
+        The stages act on the point last-first.  exp(-t D) y is the finite
+        sum of (-t)^k / k! D^k(x)(y), where D(x)(y) is the image at y and
+        each later term is the linear part applied to the one before.
+        """
+        point = dict(point)
+        zero = dict.fromkeys(self.dset.vars, Fraction(0))
+        for d, s in reversed(self.stages):
+            images = d.images.items()
+            if any(img.total_degree() > 1 for _, img in images):
+                raise ValueError(f"derivation {d.label} is not affine")
+            t = -s.q.evaluate(point)
+            shift = {v: img.evaluate(zero) for v, img in images}
+            term = {v: img.evaluate(point) for v, img in images}
+            coef = Fraction(1)
+            k = 0
+            while any(term.values()):
+                k += 1
+                if k > len(zero):
+                    raise NotLocallyNilpotent(
+                        f"linear part of derivation {d.label} is not nilpotent"
+                    )
+                coef *= t / k
+                for v, c in term.items():
+                    point[v] += coef * c
+                at = {**zero, **term}
+                term = {v: img.evaluate(at) - shift[v] for v, img in images}
+        return point
+
     @property
     def witnesses(self):
         return [s.witness[0] for _, s in self.stages if s.witness]
@@ -246,15 +280,11 @@ def verify_invariance(a, family):
     return {"checks": checks}
 
 
-def _random_point(rng, names, lo=-9, hi=9):
-    return {v: Fraction(rng.randint(lo, hi)) for v in names}
-
-
 def sample_regular_point(dset, rng):
     """Random integer point where all denominator generators are nonzero,
     from at most 200 draws."""
     for _ in range(200):
-        point = _random_point(rng, dset.vars)
+        point = {v: Fraction(rng.randint(-9, 9)) for v in dset.vars}
         if all(g.evaluate(point) != 0 for g in dset.gens):
             return point
     raise RuntimeError("could not sample a regular point")
@@ -296,74 +326,27 @@ def jacobian_rank(dset, elements, point):
     return linalg.rank(rows)
 
 
-def _sample_sigma_point(dset, witnesses, rng, attempts):
-    """A rational point where every witness numerator vanishes and every
-    denominator generator is nonzero, or None."""
-    names = list(dset.vars)
-    linear = []
-    nonlinear = []
-    for w in witnesses:
-        if w.num.total_degree() <= 1:
-            linear.append(w.num)
-        else:
-            nonlinear.append(w.num)
-    for _ in range(attempts):
-        point = _random_point(rng, names)
-        if linear:
-            # resolve the linear constraints exactly, keeping the random
-            # values for the free coordinates
-            zero = dict.fromkeys(names, Fraction(0))
-            rows = [[p.deriv(v).constant_value() for v in names] for p in linear]
-            rhs = [-p.evaluate(zero) for p in linear]
-            _, pivots = linalg.rref(rows)
-            pivot_names = [names[c] for c in pivots]
-            adjusted = dict(point)
-            # solve for pivot variables given the random free values
-            sub_rows = [[row[names.index(v)] for v in pivot_names] for row in rows]
-            sub_rhs = []
-            for row, c in zip(rows, rhs):
-                s = c
-                for v, coef in zip(names, row):
-                    if v not in pivot_names:
-                        s -= coef * point[v]
-                sub_rhs.append(s)
-            sol = linalg.solve(sub_rows, sub_rhs)
-            if sol is None:
-                continue
-            for v, val in zip(pivot_names, sol):
-                adjusted[v] = val
-            point = adjusted
-        if any(p.evaluate(point) != 0 for p in nonlinear):
-            continue
-        if any(g.evaluate(point) == 0 for g in dset.gens):
-            continue
-        return point
-    return None
-
-
-def cross_section_check(projector, witnesses, candidates, trials=10, seed=0):
+def cross_section_check(projector, candidates, trials=10, seed=0):
     """Sampled necessary conditions for free generation.
 
-    (i) P acts as the identity at sampled points of the cross-section
-    (all witnesses vanish, denominators regular); (ii) the Jacobian of the
-    projected candidates together with the denominator generators has full
-    rank at a random regular point.  The ideal-generation hypothesis is
-    not decidable here; checks are reported as necessary conditions only.
+    (i) P acts as the identity at the cross-section points pi(x), for
+    random regular points x (a trial whose pi(x) meets a vanishing
+    denominator is skipped); (ii) the Jacobian of the projected candidates
+    together with the denominator generators has full rank at a random
+    regular point.  The ideal-generation hypothesis is not decidable here;
+    checks are reported as necessary conditions only.
     """
-    import random
-
     rng = random.Random(seed)
     dset = projector.dset
     checks = []
 
     projected = [projector.apply(b) for b in candidates]
 
-    found = 0
     for t in range(trials):
-        point = _sample_sigma_point(dset, witnesses, rng, attempts=50)
-        if point is None:
-            break
-        found += 1
+        try:
+            point = projector.image_point(sample_regular_point(dset, rng))
+        except SingularPointError:
+            continue
         for b, pb in zip(candidates, projected):
             try:
                 lhs = pb.evaluate(point)
@@ -380,14 +363,6 @@ def cross_section_check(projector, witnesses, candidates, trials=10, seed=0):
             )
             if not ok:
                 break
-    if found < trials:
-        checks.append(
-            {
-                "name": "sigma_sampling",
-                "status": "inconclusive",
-                "detail": f"found {found} of {trials} requested points",
-            }
-        )
 
     if not candidates:
         checks.append(

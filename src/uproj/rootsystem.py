@@ -131,10 +131,12 @@ class RootSystem:
     @cached_property
     def _coefficient_table(self):
         rows = [list(map(Fraction, r)) for r in zip(*self.simple_roots)]
+        sols = linalg.solve_columns(rows, [list(root) for root in self.roots])
+        if sols is None:
+            raise RuntimeError("a root is outside the span of the simple roots")
         table = {}
-        for root in self.roots:
-            sol = linalg.solve(rows, list(root))
-            if sol is None or any(c.denominator != 1 for c in sol):
+        for root, sol in zip(self.roots, sols):
+            if any(c.denominator != 1 for c in sol):
                 raise RuntimeError(f"{root} is not an integral root")
             table[root] = tuple(int(c) for c in sol)
         return table

@@ -222,9 +222,8 @@ def test_criterion_08_cross_pipeline_consistency():
 
 def test_criterion_09_cross_section_machinery():
     c = get_adjoint("A", 1)
-    witnesses = c.projector.witnesses
     candidates = [parse_expression("F_1", c.dset)]
-    rep = cross_section_check(c.projector, witnesses, candidates, trials=10, seed=0)
+    rep = cross_section_check(c.projector, candidates, trials=10, seed=0)
     ok = not any(ch["status"] == "fail" for ch in rep["checks"])
     identity_checks = [
         ch for ch in rep["checks"] if ch["name"].startswith("res_identity")

@@ -19,11 +19,12 @@ from uproj.exprparse import ParseError, parse_expression
 from uproj.symfield import DenominatorSet
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "uproj.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -191,15 +192,32 @@ REP_FILE = "<rep file>"
           "--seed", "1"), None, "unrecognized"),
         (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
           "--point", '{"H1": "1"}', "--seed", "1"), None, "unrecognized"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
+          "--point", '{"E_1": "1/0"}'), None, "zero denominator"),
+        (("verify", "--type", "A", "--rank", "1",
+          "--expr", "(" * 5000 + "E_1" + ")" * 5000), None, "nested too deeply"),
+        (("eval", "--type", "A", "--rank", "1", "--point", "{}",
+          "--expr", "(" * 5000 + "E_1" + ")" * 5000), None, "nested too deeply"),
+        # Fraction("1e999999999") would build 10^999999999
+        (("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
+          "--point", '{"E_1": "1e999999999"}'), None, "'1e999999999'"),
+        (("generators", "rep", "--file", REP_FILE),
+         {**SL2_REP, "matrices": {**SL2_REP["matrices"],
+                                  "H1": [["1e999999999", "0"], ["0", "-1"]]}},
+         "'1e999999999'"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
+          "--point", '{"E_1": "1", "F_1": "2"}'), None, "no value for 'H1'"),
     ],
     ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
-         "cascade-n", "verify-seed", "eval-seed"],
+         "cascade-n", "verify-seed", "eval-seed", "point-zero-denominator",
+         "verify-deep-nesting", "eval-deep-nesting", "point-exponent",
+         "rep-exponent", "point-missing-variable"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"
     f.write_text(json.dumps(rep_data))
-    r = run_cli(*(str(f) if a == REP_FILE else a for a in argv))
+    r = run_cli(*(str(f) if a == REP_FILE else a for a in argv), timeout=60)
     assert r.returncode == 2
     assert message in r.stderr
     assert "Traceback" not in r.stderr

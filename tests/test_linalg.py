@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from uproj import linalg
 
 
@@ -100,3 +102,12 @@ def test_solve_columns_matches_per_column_solve():
     assert linalg.solve_columns(a, [good, bad]) is None
     assert linalg.solve_columns(a, [bad, good]) is None
     assert linalg.solve_columns([], [[], []]) == [[], []]
+
+
+def test_read_rational_accepts_plain_forms_only():
+    assert [linalg.read_rational(v) for v in (3, "-7", "-1/2", "0.25", 0.5)] == [
+        3, -7, Fraction(-1, 2), Fraction(1, 4), Fraction(1, 2)
+    ]
+    for bad in ("1e999999999", "2E3", 1e300, "1/0", "x", None, [1]):
+        with pytest.raises(ValueError):
+            linalg.read_rational(bad)

@@ -1,9 +1,14 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from uproj import linalg
+from uproj.adjoint import AdjointConstruction
+from uproj.genrep import RepConstruction, load_rep
+from uproj.groupconj import ConjugationConstruction
 from uproj.projector import (
     Derivation,
     NotLocallyNilpotent,
@@ -168,8 +173,21 @@ def test_cross_section_check_toy():
     z = LocElem.variable(dset, "z")
     p = Projector([(dx, SlicePair(dx, x, witness=(x, LocElem.const(dset, 1))))],
                   dset=dset)
-    report = cross_section_check(p, [x], [y, z], trials=5, seed=1)
+    report = cross_section_check(p, [y, z], trials=5, seed=1)
     assert all(c["status"] != "fail" for c in report["checks"])
+    identity = [c for c in report["checks"] if c["name"].startswith("res_identity")]
+    assert len(identity) == 10
+
+
+def test_cross_section_check_fails_on_a_wrong_projection(monkeypatch):
+    dset = make_dset()
+    dx = ddx(dset)
+    x = LocElem.variable(dset, "x")
+    p = Projector([(dx, SlicePair(dx, x))], dset=dset)
+    apply = Projector.apply
+    monkeypatch.setattr(Projector, "apply", lambda self, a: apply(self, a) + 1)
+    report = cross_section_check(p, [LocElem.variable(dset, "y")], trials=3)
+    assert report["checks"][0]["status"] == "fail"
 
 
 # -- one-pass Derivation.apply and pointwise jacobian_rank ----------------
@@ -282,3 +300,85 @@ def test_jacobian_rank_singular_point():
     assert jacobian_rank(dset, [x * y], pt) == 1
     with pytest.raises(SingularPointError):
         jacobian_rank(dset, [x, y / (x + y)], pt)
+
+
+# -- the projector at a point ----------------------------------------------
+
+
+def test_image_point_rejects_what_is_not_a_flow():
+    dset = make_dset()
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    one = Poly.const(VARS, 1)
+    pt = {"x": Fraction(2), "y": Fraction(3), "z": Fraction(5)}
+    quadratic = Derivation(dset, {"x": one, "y": x * x}, label="quadratic")
+    p = Projector([(quadratic, SlicePair(quadratic, LocElem(dset, x)))], dset=dset)
+    with pytest.raises(ValueError, match="quadratic"):
+        p.image_point(pt)
+    # d/dx + y d/dy: the linear part y d/dy is not nilpotent
+    scaling = Derivation(dset, {"x": one, "y": y}, label="d/dx + y d/dy")
+    p = Projector([(scaling, SlicePair(scaling, LocElem(dset, x)))], dset=dset)
+    with pytest.raises(NotLocallyNilpotent, match=r"d/dx \+ y d/dy"):
+        p.image_point(pt)
+
+
+REP_ADJ_B2 = Path(__file__).resolve().parents[1] / "perfbench/data/rep-adj-b2.json"
+
+
+def value_constructions():
+    """Every construction of the acceptance suite, conj n=4 and the
+    adjoint representation of B2."""
+    from test_acceptance import all_constructions
+
+    rep_b2 = RepConstruction(load_rep(json.loads(REP_ADJ_B2.read_text())))
+    return all_constructions() + [ConjugationConstruction(4), rep_b2]
+
+
+def projected_sources(c):
+    """Generator name -> the element the construction projects for it."""
+    dset = c.dset
+    if isinstance(c, AdjointConstruction):
+        out = {
+            f"P({s})": LocElem.variable(dset, s) for s in c.basis.neg_symbol.values()
+        }
+        for i, h in enumerate(c.cartan_complement()):
+            out[f"P(Hc{i + 1})"] = LocElem(dset, h.to_poly())
+        return out
+    if isinstance(c, ConjugationConstruction):
+        return {
+            f"P(c_{a}_{b})": LocElem(dset, m)
+            for (a, b), m in c.elements["c_beta"].items()
+        }
+    # rep: the final forms independent of the lowest forms, in order
+    rows = [[s.lowest_form.coefficient_of(v) for v in dset.vars] for s in c.stages]
+    out = {}
+    for f in c.final_forms:
+        row = [f.coefficient_of(v) for v in dset.vars]
+        if linalg.rank(rows + [row]) > linalg.rank(rows):
+            rows.append(row)
+            out[f"P(f{len(out) + 1})"] = LocElem(dset, f)
+    return out
+
+
+def test_generators_take_their_values_at_the_image_point():
+    """P(f)(x) = f(pi(x)): every coordinate and every emitted generator
+    against the point map, at seeded regular points."""
+    for c in value_constructions():
+        p = c.projector
+        label = f"{type(c).__name__} {c.dset.vars}"
+        coordinates = {v: p.apply(LocElem.variable(c.dset, v)) for v in c.dset.vars}
+        entries = c.generator_set(verify=False).entries
+        sources = projected_sources(c)
+        rng = random.Random(0)
+        for _ in range(3):
+            x = sample_regular_point(c.dset, rng)
+            px = p.image_point(x)
+            for v, pv in coordinates.items():
+                assert pv.evaluate(x) == px[v], (label, v)
+            for name, g in entries:
+                if name.startswith("P("):
+                    assert g.evaluate(x) == sources[name].evaluate(px), (label, name)
+                else:
+                    assert g.evaluate(px) == g.evaluate(x), (label, name)
+            for w in p.witnesses:
+                assert w.evaluate(px) == 0, (label, str(w))
+            assert p.image_point(px) == px, label

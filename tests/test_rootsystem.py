@@ -84,6 +84,19 @@ def test_positive_roots_sorted_by_height(series, rank):
     assert heights[: rank] == [1] * rank
 
 
+@pytest.mark.parametrize("series,rank", sorted(POSITIVE_ROOT_COUNTS))
+def test_coefficients_expand_each_root_with_one_sign(series, rank):
+    rs = build_root_system(series, rank)
+    for root in rs.roots:
+        c = rs.coefficients(root)
+        expansion = [
+            sum(ci * a[k] for ci, a in zip(c, rs.simple_roots))
+            for k in range(len(root))
+        ]
+        assert expansion == list(root)
+        assert all(ci >= 0 for ci in c) or all(ci <= 0 for ci in c)
+
+
 def test_cartan_pairing_simple_roots_match_cartan_matrix():
     rs = build_root_system("G", 2)
     a1, a2 = rs.simple_roots
