@@ -59,7 +59,7 @@ class AdjointConstruction(Construction):
             lifted, cartan_basis = self._lift_through(lv, lifted, cartan_basis)
 
         stages = [st for level in self.levels for st in level.stages]
-        self.projector = Projector(stages, dset=self.dset, check=True)
+        self.projector = Projector(stages, dset=self.dset)
 
     # -- level construction -------------------------------------------------
 
@@ -76,7 +76,7 @@ class AdjointConstruction(Construction):
 
         # lifted coroot of xi, expressed in the still-liftable Cartan span
         h_xi = self._lift_cartan_vector(
-            self._coroot_vector(lv.xi), cartan_basis
+            basis.coroot_coefficients(lv.xi), cartan_basis
         )
 
         stages = []
@@ -106,14 +106,6 @@ class AdjointConstruction(Construction):
         return LevelData(denominator=e_xi, stages=stages)
 
     # -- Cartan bookkeeping ---------------------------------------------------
-
-    def _coroot_vector(self, root):
-        """Coefficients of the coroot of a root over the simple coroots."""
-        vec = [Fraction(0)] * self.basis.rs.rank
-        by_sym = {h: i for i, h in enumerate(self.basis.cartan_symbols)}
-        for h_sym, c in self.basis.coroot(root).coefficients:
-            vec[by_sym[h_sym]] = Fraction(c)
-        return tuple(vec)
 
     def _lift_cartan_vector(self, vec, cartan_basis):
         """Lift of the Cartan element with the given simple-coroot

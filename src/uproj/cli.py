@@ -166,10 +166,13 @@ def cmd_eval(args):
         if not isinstance(point, dict):
             raise ValueError("--point must be a JSON object")
         values = {k: read_rational(v) for k, v in point.items()}
-        missing = [v for v in dset.vars if v not in values]
-        if missing:
-            raise ValueError(f"--point has no value for {missing[0]!r}")
-        value = elem.evaluate(values)
+        # a variable outside the numerator and the denominator generators
+        # in use has exponent 0 in every term, so any value will do for it
+        used = [elem.num] + [g for g, e in zip(dset.gens, elem.den) if e]
+        for i, v in enumerate(dset.vars):
+            if v not in values and any(e[i] for p in used for e in p.terms):
+                raise ValueError(f"--point has no value for {v!r}")
+        value = elem.evaluate({**dict.fromkeys(dset.vars, 0), **values})
     except (InvalidDynkinDatum, ParseError, SingularPointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

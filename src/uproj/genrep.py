@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .genset import Construction
-from .projector import Derivation, Projector, SlicePair
+from .projector import Derivation, Projector, SlicePair, smap
 from .rootsystem import build_root_system
 from .liealg import chevalley_constants
 from .symfield import DenominatorSet, LocElem, Poly
@@ -285,7 +285,7 @@ class RepConstruction(Construction):
             self.stages.append(stage)
             flat.extend(stage.stages)
         self.final_forms = sub_forms
-        self.projector = Projector(flat, dset=self.dset, check=True)
+        self.projector = Projector(flat, dset=self.dset)
 
     # -- per-stage work -------------------------------------------------------
 
@@ -452,10 +452,7 @@ class RepConstruction(Construction):
                 key=lambda r: (rs.height(r), r),
             )
         )
-        l_pos = [
-            self._restricted(rep.rho[basis.pos_symbol[a]], sub_basis)
-            for a in levi_pos
-        ]
+        l_pos = [r_pos[a] for a in levi_pos]
         l_neg = [
             self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis)
             for a in levi_pos
@@ -492,15 +489,20 @@ class RepConstruction(Construction):
                     f = f + sub_forms[c] * coef
             new_forms.append(f)
 
-        # transported slices for this stage
-        prior = Projector(flat, dset=self.dset, check=False)
-        den = prior.apply(LocElem(self.dset, new_forms[0]))
+        # transported slices for this stage, through the stages so far
+        def prior(form):
+            x = LocElem(self.dset, form)
+            for d, sp in flat:
+                x = smap(d, sp, x)
+            return x
+
+        den = prior(new_forms[0])
         den_inv = den.inverse()
         stage_list = []
         for j in range(k, 0, -1):
             a = m_roots[j - 1]
             d = self._ambient_derivation(a)
-            wj = prior.apply(LocElem(self.dset, new_forms[j]))
+            wj = prior(new_forms[j])
             q = wj * Fraction(-1) * den_inv
             stage_list.append(
                 (d, SlicePair(d, q, witness=(wj * Fraction(-1), den)))

@@ -171,7 +171,7 @@ class ConjugationConstruction(Construction):
         flat = [
             (st.derivation, st.slice_pair) for st in reversed(self.stages)
         ]
-        self.projector = Projector(flat, dset=self.dset, check=True)
+        self.projector = Projector(flat, dset=self.dset)
 
     def _generators(self):
         entries = []

@@ -3,9 +3,11 @@
 Structure constants are fixed by the deterministic extraspecial-pair
 convention: for every non-simple positive root the minimal decomposition
 pair gets N = +(p+1), and all remaining constants follow from the exact
-rational identities relating constants of root triples and quadruples.
-The Jacobi identity is verified exhaustively at construction for rank <= 4
-and on a deterministic sample above.
+rational identities relating constants of root triples and quadruples
+(Carter, Simple Groups of Lie Type, 4.1; Cohen, Murray and Taylor,
+Computing in groups of Lie type).  Every nonzero bracket of two basis
+symbols is tabulated once at construction, and the Jacobi identity is
+verified there on every triple whose weights sum to a root or to 0.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .symfield import Poly
 
 
@@ -107,9 +108,6 @@ class ChevalleyBasis:
             self._root_of_symbol[self.pos_symbol[r]] = r
             self._root_of_symbol[self.neg_symbol[r]] = tuple(-x for x in r)
 
-        self._order = {
-            r: i for i, r in enumerate(self.positive_roots)
-        }  # height-then-lex total order
         self._extraspecial = {}
         for gamma in self.positive_roots:
             if rs.height(gamma) == 1:
@@ -120,7 +118,12 @@ class ChevalleyBasis:
                     self._extraspecial[gamma] = (alpha, beta)
                     break
         self._nmemo = {}
-        self.check_jacobi(exhaustive=rs.rank <= 4)
+        # every nonzero [u, v] over the basis symbols, as (symbol, coeff) pairs
+        self._table = {u: {} for u in self.symbols}
+        for u, v in itertools.product(self.symbols, repeat=2):
+            if uv := self._bracket_symbols(u, v).coefficients:
+                self._table[u][v] = uv
+        self.check_jacobi()
 
     # -- root bookkeeping -------------------------------------------------
 
@@ -219,19 +222,15 @@ class ChevalleyBasis:
     # -- coroots and Cartan action -------------------------------------------
 
     def coroot_coefficients(self, root):
-        """Coordinates of the coroot of `root` over the simple coroots."""
-        root = tuple(root)
-        scale = Fraction(2) / self._norm(root)
-        target = [self.rs.form_scale * scale * x for x in root]
-        columns = []
-        for a in self.rs.simple_roots:
-            s = Fraction(2) / self._norm(a)
-            columns.append([self.rs.form_scale * s * x for x in a])
-        rows = list(map(list, zip(*columns)))
-        sol = linalg.solve(rows, target)
-        if sol is None:
-            raise ValueError(f"{root} has no coroot expansion")
-        return tuple(sol)
+        """Coordinates of the coroot of `root` over the simple coroots.
+
+        With root = sum c_i a_i, the coroot 2 root / (root, root) is
+        sum c_i (a_i, a_i) / (root, root) times the coroot of a_i."""
+        norm = self._norm(root)
+        return tuple(
+            Fraction(c) * self._norm(a) / norm
+            for c, a in zip(self.rs.coefficients(root), self.rs.simple_roots)
+        )
 
     def coroot(self, root):
         coeffs = self.coroot_coefficients(root)
@@ -243,24 +242,18 @@ class ChevalleyBasis:
 
     def _bracket_symbols(self, u, v):
         """[u, v] for two basis symbols, as a LieElement."""
-        u_cart = u in self.cartan_symbols
-        v_cart = v in self.cartan_symbols
-        if u_cart and v_cart:
-            return LieElement.make(self, {})
-        if u_cart or v_cart:
-            if v_cart:
-                res = self._bracket_symbols(v, u)
-                return -res
-            i = self.cartan_symbols.index(u)
-            beta = self.root_of(v)
-            c = self.rs.cartan_pairing(beta, self.rs.simple_roots[i])
-            return LieElement.make(self, {v: Fraction(c)})
-        a = self.root_of(u)
-        b = self.root_of(v)
+        if u in self.cartan_symbols:
+            if v in self.cartan_symbols:
+                return LieElement.make(self, {})
+            simple = self.rs.simple_roots[self.cartan_symbols.index(u)]
+            c = self.rs.cartan_pairing(self.root_of(v), simple)
+            return LieElement.make(self, {v: c})
+        if v in self.cartan_symbols:
+            return -self._bracket_symbols(v, u)
+        a, b = self.root_of(u), self.root_of(v)
         s = tuple(x + y for x, y in zip(a, b))
-        if all(x == 0 for x in s):
-            h = self.coroot(a)
-            return h
+        if not any(s):
+            return self.coroot(a)
         if s not in self._root_set:
             return LieElement.make(self, {})
         n = self.structure_constant(a, b)
@@ -272,10 +265,9 @@ class ChevalleyBasis:
             raise BasisMismatch("elements over a different basis")
         acc = {}
         for u, cu in x.coefficients:
+            row = self._table[u]
             for v, cv in y.coefficients:
-                if u == v:
-                    continue
-                for s, c in self._bracket_symbols(u, v).coefficients:
+                for s, c in row.get(v, ()):
                     acc[s] = acc.get(s, Fraction(0)) + cu * cv * c
         return LieElement.make(self, acc)
 
@@ -284,27 +276,34 @@ class ChevalleyBasis:
 
     # -- consistency ----------------------------------------------------------
 
-    def check_jacobi(self, exhaustive=True, sample=300):
-        symbols = self.symbols
-        if exhaustive:
-            triples = itertools.combinations(symbols, 3)
-        else:
-            import random
+    def check_jacobi(self):
+        """Jacobi identity on every triple of basis symbols whose weights
+        sum to a root or to 0; any other Jacobi sum lies in a zero weight
+        space.  A weight w is packed into the int sum_k w_k B^k, with B
+        above every coordinate of a difference of two three-weight sums."""
+        table = self._table
+        base = 6 * max(abs(x) for r in self._root_set for x in r) + 1
 
-            rng = random.Random(0)
-            triples = (
-                tuple(rng.sample(symbols, 3)) for _ in range(sample)
-            )
-        for u, v, w in triples:
-            x, y, z = self.element(u), self.element(v), self.element(w)
-            total = (
-                self.bracket(x, self.bracket(y, z))
-                + self.bracket(y, self.bracket(z, x))
-                + self.bracket(z, self.bracket(x, y))
-            )
-            if not total.is_zero():
+        def pack(w):
+            return sum(x * base**k for k, x in enumerate(w))
+
+        admissible = {0} | {pack(r) for r in self._root_set}
+        weighted = [
+            (u, pack(self._root_of_symbol.get(u, ()))) for u in self.symbols
+        ]
+        for (u, a), (v, b), (w, c) in itertools.combinations(weighted, 3):
+            if a + b + c not in admissible:
+                continue
+            total = {}
+            for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+                row = table[x]
+                for t, m in table[y].get(z, ()):
+                    for r, p in row.get(t, ()):
+                        total[r] = total.get(r, 0) + m * p
+            if any(total.values()):
                 raise RuntimeError(
-                    f"Jacobi identity fails on ({u}, {v}, {w}): {total}"
+                    f"Jacobi identity fails on ({u}, {v}, {w}): "
+                    f"{LieElement.make(self, total)}"
                 )
 
 

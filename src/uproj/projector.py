@@ -68,13 +68,10 @@ class Derivation:
     @classmethod
     def from_lie_element(cls, basis, dset, x, label=None):
         """Poisson-bracket derivation a -> {x, a} for x in g."""
-        images = {}
-        for v in basis.symbols:
-            acc = {}
-            for u, cu in x.coefficients:
-                for s, c in basis._bracket_symbols(u, v).coefficients:
-                    acc[s] = acc.get(s, Fraction(0)) + cu * c
-            images[v] = Poly.linear(basis.symbols, acc)
+        images = {
+            v: basis.bracket(x, basis.element(v)).to_poly()
+            for v in basis.symbols
+        }
         return cls(dset, images, label=label or str(x))
 
     def apply(self, a):
@@ -199,13 +196,12 @@ class Projector:
     its own slice to 1.
     """
 
-    def __init__(self, stages, dset=None, check=True):
+    def __init__(self, stages, dset=None):
         self.stages = list(stages)
         if dset is None and self.stages:
             dset = self.stages[0][0].dset
         self.dset = dset
-        if check:
-            self.check_triangularity()
+        self.check_triangularity()
 
     def check_triangularity(self):
         for i, (d_i, _) in enumerate(self.stages):

@@ -205,14 +205,18 @@ REP_FILE = "<rep file>"
          {**SL2_REP, "matrices": {**SL2_REP["matrices"],
                                   "H1": [["1e999999999", "0"], ["0", "-1"]]}},
          "'1e999999999'"),
-        (("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
+        (("eval", "--type", "A", "--rank", "1", "--expr", "E_1 + H1",
           "--point", '{"E_1": "1", "F_1": "2"}'), None, "no value for 'H1'"),
+        # E_1 is read through the denominator generator only
+        (("eval", "--type", "A", "--rank", "1", "--expr", "H1*E_1^-1",
+          "--point", '{"H1": "1"}'), None, "no value for 'E_1'"),
     ],
     ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
          "cascade-n", "verify-seed", "eval-seed", "point-zero-denominator",
          "verify-deep-nesting", "eval-deep-nesting", "point-exponent",
-         "rep-exponent", "point-missing-variable"],
+         "rep-exponent", "point-missing-variable",
+         "point-missing-denominator-variable"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"
@@ -276,6 +280,17 @@ def test_eval_exact_value():
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["value"] == {"num": "13", "den": "1"}
+
+
+def test_eval_needs_only_the_variables_the_expression_reads():
+    r = run_cli("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
+                "--point", json.dumps({"E_1": "2"}))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["value"] == {"num": "2", "den": "1"}
+    r = run_cli("eval", "--type", "A", "--rank", "1", "--expr", "F_1*E_1^-1",
+                "--point", json.dumps({"E_1": "4", "F_1": "2"}))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["value"] == {"num": "1", "den": "2"}
 
 
 def test_eval_singular_point_exits_2():

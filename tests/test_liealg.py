@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from uproj.liealg import LieElement
+from uproj.genrep import adjoint_rep
+from uproj.liealg import ChevalleyBasis, LieElement, root_suffix
 from uproj.projector import Derivation
+from uproj.rootsystem import build_root_system
 from uproj.symfield import DenominatorSet, LocElem
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
@@ -63,7 +66,74 @@ def test_sl2_triples(basis_of, series, rank):
 def test_jacobi_exhaustive(basis_of, series, rank):
     b = basis_of(series, rank)
     # raises on any violated identity
-    b.check_jacobi(exhaustive=True)
+    b.check_jacobi()
+
+
+def test_jacobi_check_catches_one_flipped_e6_sign(monkeypatch):
+    # N(E_000011, E_010100) and its transpose flipped together keep
+    # antisymmetry; a check of 300 random triples, which is what rank 6
+    # once got, builds this basis without error
+    rs = build_root_system("E", 6)
+    flipped = {("000011", "010100"), ("010100", "000011")}
+    true_constant = ChevalleyBasis.structure_constant
+
+    def structure_constant(self, alpha, beta):
+        n = true_constant(self, alpha, beta)
+        pair = tuple(root_suffix(rs.coefficients(r)) for r in (alpha, beta))
+        return -n if pair in flipped else n
+
+    monkeypatch.setattr(ChevalleyBasis, "structure_constant", structure_constant)
+    with pytest.raises(RuntimeError, match="Jacobi identity fails"):
+        ChevalleyBasis(rs)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_jacobi_sum_vanishes_on_every_triple_the_weight_filter_skips(
+    basis_of, series, rank
+):
+    b = basis_of(series, rank)
+    zero = (0,) * len(b.positive_roots[0])
+
+    def weight(u):
+        return zero if u in b.cartan_symbols else b.root_of(u)
+
+    skipped = 0
+    for u, v, w in itertools.combinations(b.symbols, 3):
+        total = tuple(map(sum, zip(weight(u), weight(v), weight(w))))
+        if total == zero or b.rs.is_root(total):
+            continue
+        skipped += 1
+        x, y, z = b.element(u), b.element(v), b.element(w)
+        s = (
+            b.bracket(x, b.bracket(y, z))
+            + b.bracket(y, b.bracket(z, x))
+            + b.bracket(z, b.bracket(x, y))
+        )
+        assert s.is_zero(), (u, v, w)
+    assert skipped
+
+
+def test_brackets_are_read_from_the_table(monkeypatch):
+    b = ChevalleyBasis(build_root_system("B", 2))
+    expected = {
+        (u, v): b._bracket_symbols(u, v) for u in b.symbols for v in b.symbols
+    }
+
+    def per_pair_rule(u, v):
+        raise RuntimeError("per-pair bracket rule called after construction")
+
+    monkeypatch.setattr(b, "_bracket_symbols", per_pair_rule)
+    dset = DenominatorSet(b.symbols)
+    for u in b.symbols:
+        d_u = Derivation.from_lie_element(b, dset, b.element(u))
+        for v in b.symbols:
+            uv = expected[(u, v)]
+            assert b.bracket(b.element(u), b.element(v)) == uv
+            assert d_u.apply(LocElem.variable(dset, v)) == LocElem(dset, uv.to_poly())
+    for x, m in adjoint_rep(b).rho.items():
+        for j, v in enumerate(b.symbols):
+            column = expected[(x, v)].as_dict()
+            assert [row[j] for row in m] == [column.get(u, 0) for u in b.symbols]
 
 
 def test_jacobi_on_random_elements(basis_of):

@@ -24,3 +24,18 @@ def test_runtime_invariants_raise_real_exceptions():
             ):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"assert or AssertionError at {found}"
+
+
+def test_modules_import_at_top_level_only():
+    # an import inside a function hides a dependency from the module head
+    # and moves its cost onto whichever call first reaches it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    f"{path.relative_to(SRC)}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    assert not found, f"import inside a function at {found}"
