@@ -2,10 +2,11 @@
 
 Walks the Kostant cascade level by level.  Each level contributes one
 slice for the cascade root (built from the lifted coroot over the lifted
-root vector) and one slice per paired root of the Heisenberg layer.
-Elements of deeper levels are corrected by quadratic-over-center terms so
-that they Poisson-commute with all layers already processed; the corrected
-center elements form the invariant denominator chain.
+root vector) and one slice per paired root of the Heisenberg layer.  The
+generators that deeper levels still use are then lifted through the level
+by its own s-maps, so each is killed by every derivation of the level
+(the Dixmier map of a locally nilpotent derivation with a slice); the
+lifted cascade root vectors form the invariant denominator chain.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .liealg import LieElement
-from .projector import Derivation, Projector, SlicePair
+from .projector import Derivation, Projector, SlicePair, apply_stages
 from .rootsystem import kostant_cascade
 from .symfield import DenominatorSet, LocElem, Poly
 from .genset import Construction
@@ -56,7 +57,9 @@ class AdjointConstruction(Construction):
             level = self._build_level(lv, lifted, cartan_basis)
             self.levels.append(level)
             self.xi_elements.append(level.denominator)
-            lifted, cartan_basis = self._lift_through(lv, lifted, cartan_basis)
+            lifted, cartan_basis = self._lift_through(
+                lv, level.stages, lifted, cartan_basis
+            )
 
         stages = [st for level in self.levels for st in level.stages]
         self.projector = Projector(stages, dset=self.dset)
@@ -123,30 +126,22 @@ class AdjointConstruction(Construction):
 
     # -- Heisenberg lift -----------------------------------------------------
 
-    def _lift_through(self, lv, lifted, cartan_basis):
-        """Correct all still-unconsumed generators so they commute with the
-        Heisenberg layer of this level.
+    def _lift_through(self, lv, stages, lifted, cartan_basis):
+        """Carry every still-unconsumed generator through the stages of
+        this level by their s-maps, in list order.
 
         Only Cartan elements annihilated by the cascade root survive: the
-        quadratic-over-center terms act on a pair (alpha, alpha') with
-        opposite eigenvalues, so the eigenvalue sum xi(h) must vanish.  The
-        liftable Cartan span is cut down to that kernel."""
+        coroot of xi went into the slice of D_xi, as the roots of the layer
+        went into the other slices.  The liftable Cartan span is cut down
+        to that kernel."""
         basis = self.basis
         rs = basis.rs
-        gamma0 = [a for a in lv.gamma if a != lv.xi]
         consumed = set(lv.gamma)
-
-        remaining_roots = [
-            r
-            for r in rs.positive_roots
-            if basis.pos_symbol[r] in lifted and r not in consumed
-        ]
         new_lifted = {}
-        for r in remaining_roots:
+        for r in rs.positive_roots:
             sym = basis.pos_symbol[r]
-            new_lifted[sym] = lifted[sym] - self._correction(
-                lv, gamma0, lifted, lambda g: self._bracket_in_gamma0(r, g, gamma0)
-            )
+            if sym in lifted and r not in consumed:
+                new_lifted[sym] = apply_stages(stages, lifted[sym])
 
         # functional h -> xi(h) on simple-coroot coordinates
         xi_row = [rs.cartan_pairing(lv.xi, a) for a in rs.simple_roots]
@@ -163,73 +158,8 @@ class AdjointConstruction(Construction):
             for c, (_, lift) in zip(combo, cartan_basis):
                 if c:
                     pre = pre + lift * c
-
-            def h_action(g, vec=vec):
-                # [h, E_g] = g(h) E_g with h over the simple coroots
-                c = sum(
-                    v * rs.cartan_pairing(g, a)
-                    for v, a in zip(vec, rs.simple_roots)
-                )
-                return {g: Fraction(c)}
-
-            new_cartan_basis.append(
-                (vec, pre - self._correction(lv, gamma0, lifted, h_action))
-            )
+            new_cartan_basis.append((vec, apply_stages(stages, pre)))
         return new_lifted, new_cartan_basis
-
-    def _bracket_in_gamma0(self, r, g, gamma0):
-        """[E_r, E_g] expanded over the Gamma^0 root vectors."""
-        basis = self.basis
-        s = tuple(x + y for x, y in zip(r, g))
-        if s not in basis._root_set:
-            return {}
-        n = basis.structure_constant(r, g)
-        if s not in gamma0:
-            raise RuntimeError(f"bracket leaves the Heisenberg layer: {s}")
-        return {s: n}
-
-    def _correction(self, lv, gamma0, lifted, action):
-        """Solve for the quadratic-over-center correction b with
-        {b, E_g} = action(g) for every g in Gamma^0 (exact linear solve)."""
-        basis = self.basis
-        if not gamma0:
-            return LocElem.const(self.dset, 0)
-        pairs = []
-        for i, a in enumerate(gamma0):
-            for b in gamma0[i:]:
-                pairs.append((a, b))
-        # scalar equations indexed by (g, delta): coefficient of E_delta in
-        # {pair-term, E_g} must match the action
-        rows = []
-        rhs = []
-        for g in gamma0:
-            target = action(g)
-            for delta in gamma0:
-                row = []
-                for (a, b) in pairs:
-                    coef = Fraction(0)
-                    # {E_a E_b / E_xi, E_g} = [g=b'] N(b,g) E_a + [g=a'] N(a,g) E_b
-                    if tuple(x + y for x, y in zip(b, g)) == lv.xi and a == delta:
-                        coef += basis.structure_constant(b, g)
-                    if tuple(x + y for x, y in zip(a, g)) == lv.xi and b == delta:
-                        coef += basis.structure_constant(a, g)
-                    row.append(coef)
-                rows.append(row)
-                rhs.append(Fraction(target.get(delta, 0)))
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            raise RuntimeError("lift system inconsistent; upstream bug")
-        e_xi_inv = lifted[basis.pos_symbol[lv.xi]].inverse()
-        result = LocElem.const(self.dset, 0)
-        for c, (a, b) in zip(sol, pairs):
-            if c:
-                term = (
-                    lifted[basis.pos_symbol[a]]
-                    * lifted[basis.pos_symbol[b]]
-                    * e_xi_inv
-                )
-                result = result + term * c
-        return result
 
     # -- generators ------------------------------------------------------------
 
@@ -238,19 +168,12 @@ class AdjointConstruction(Construction):
         as LieElements (exact kernel, deterministic pivoting)."""
         basis = self.basis
         rs = basis.rs
-        rows = []
-        for xi in self.cascade.entries:
-            # pairing of sum c_i H_i with H_xi via the transported form:
-            # (xi-check, alpha_i-check) up to the global scale
-            row = []
-            xi_check = [Fraction(2 * x) / basis._norm(xi) for x in xi]
-            for a in rs.simple_roots:
-                a_check = [Fraction(2 * x) / basis._norm(a) for x in a]
-                row.append(
-                    rs.form_scale
-                    * sum(u * v for u, v in zip(xi_check, a_check))
-                )
-            rows.append(row)
+        # sum c_i H_i pairs with the coroot of xi as a positive multiple
+        # of sum c_i xi(H_i), so each row is the functional h -> xi(h)
+        rows = [
+            [rs.cartan_pairing(xi, a) for a in rs.simple_roots]
+            for xi in self.cascade.entries
+        ]
         out = []
         for vec in linalg.nullspace(rows, ncols=rs.rank):
             out.append(

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .genset import Construction
-from .projector import Derivation, Projector, SlicePair, smap
+from .projector import Derivation, Projector, SlicePair, apply_stages
 from .rootsystem import build_root_system
 from .liealg import chevalley_constants
 from .symfield import DenominatorSet, LocElem, Poly
@@ -490,19 +490,13 @@ class RepConstruction(Construction):
             new_forms.append(f)
 
         # transported slices for this stage, through the stages so far
-        def prior(form):
-            x = LocElem(self.dset, form)
-            for d, sp in flat:
-                x = smap(d, sp, x)
-            return x
-
-        den = prior(new_forms[0])
+        den = apply_stages(flat, LocElem(self.dset, new_forms[0]))
         den_inv = den.inverse()
         stage_list = []
         for j in range(k, 0, -1):
             a = m_roots[j - 1]
             d = self._ambient_derivation(a)
-            wj = prior(new_forms[j])
+            wj = apply_stages(flat, LocElem(self.dset, new_forms[j]))
             q = wj * Fraction(-1) * den_inv
             stage_list.append(
                 (d, SlicePair(d, q, witness=(wj * Fraction(-1), den)))

@@ -118,11 +118,14 @@ class ChevalleyBasis:
                     self._extraspecial[gamma] = (alpha, beta)
                     break
         self._nmemo = {}
-        # every nonzero [u, v] over the basis symbols, as (symbol, coeff) pairs
+        # every nonzero [u, v] over the basis symbols, as (symbol, int)
+        # pairs; a Chevalley basis has integral structure constants
         self._table = {u: {} for u in self.symbols}
         for u, v in itertools.product(self.symbols, repeat=2):
             if uv := self._bracket_symbols(u, v).coefficients:
-                self._table[u][v] = uv
+                if any(c.denominator != 1 for _, c in uv):
+                    raise RuntimeError(f"non-integral constant in [{u}, {v}]")
+                self._table[u][v] = tuple((s, int(c)) for s, c in uv)
         self.check_jacobi()
 
     # -- root bookkeeping -------------------------------------------------

@@ -151,7 +151,8 @@ def mat_commutator(a, b):
 
 
 def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    """Matrix-vector product; zero entries of a are skipped."""
+    return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
 
 
 def identity(n):

@@ -187,6 +187,14 @@ def smap(derivation, slice_pair, a):
         result = result + cur * qpow * Fraction(sign, fact)
 
 
+def apply_stages(stages, a):
+    """Composed s-maps of (Derivation, SlicePair) stages, the first stage
+    acting first."""
+    for d, s in stages:
+        a = smap(d, s, a)
+    return a
+
+
 class Projector:
     """Ordered stages (Derivation, SlicePair) applied as composed S-maps.
 
@@ -219,9 +227,7 @@ class Projector:
     def apply(self, a):
         if isinstance(a, Poly):
             a = LocElem(self.dset, a)
-        for d, s in self.stages:
-            a = smap(d, s, a)
-        return a
+        return apply_stages(self.stages, a)
 
     def image_point(self, point):
         """pi(x), the point with P(f)(x) = f(pi(x)) for every f.

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from uproj.adjoint import casimir_element, killing_form
+from uproj import linalg
+from uproj.adjoint import AdjointConstruction, casimir_element, killing_form
 from uproj.exprparse import parse_expression
 from uproj.liealg import LieElement
 from uproj.projector import jacobian_rank, sample_regular_point
@@ -49,8 +52,6 @@ def test_generator_count_matches_generic_orbit_codimension(adjoint_of, series, r
                 [d.apply(LocElem.variable(c.dset, v)).evaluate(pt)
                  for v in c.dset.vars]
             )
-        from uproj import linalg
-
         best = max(best, linalg.rank(rows))
     dim = len(c.basis.symbols)
     assert len(c.generator_set(verify=False)) == dim - best
@@ -98,8 +99,6 @@ def test_killing_form_symmetric_invariant_nondegenerate(basis_of, series, rank):
     for i in range(n):
         for j in range(n):
             assert kappa[i][j] == kappa[j][i]
-    from uproj import linalg
-
     assert linalg.rank(kappa) == n
 
     # ad-invariance kappa([x,y],z) + kappa(y,[x,z]) = 0 on sampled triples
@@ -174,8 +173,149 @@ def test_generator_set_json_contract(adjoint_of):
     assert all({"name", "element", "text"} <= set(g) for g in data["generators"])
 
 
-def test_bracket_outside_heisenberg_layer_raises(adjoint_of):
-    c = adjoint_of("A", 2)
-    a1, a2 = c.basis.rs.simple_roots
-    with pytest.raises(RuntimeError, match="Heisenberg layer"):
-        c._bracket_in_gamma0(a1, a2, [])
+def _quadratic_correction(c, lv, lifted, action):
+    """Reference lift: the b, quadratic in the lifted Gamma^0 root vectors
+    over the lifted E_xi, with {b, E_g} = action(g) for every g in Gamma^0,
+    from one dense linear solve."""
+    basis = c.basis
+    gamma0 = [a for a in lv.gamma if a != lv.xi]
+    if not gamma0:
+        return LocElem.const(c.dset, 0)
+    pairs = [(a, b) for i, a in enumerate(gamma0) for b in gamma0[i:]]
+
+    def plus(x, y):
+        return tuple(u + v for u, v in zip(x, y))
+
+    rows, rhs = [], []
+    for g in gamma0:
+        target = action(g)
+        for delta in gamma0:
+            # {E_a E_b / E_xi, E_g} = [g=b'] N(b,g) E_a + [g=a'] N(a,g) E_b
+            row = []
+            for a, b in pairs:
+                coef = Fraction(0)
+                if plus(b, g) == lv.xi and a == delta:
+                    coef += basis.structure_constant(b, g)
+                if plus(a, g) == lv.xi and b == delta:
+                    coef += basis.structure_constant(a, g)
+                row.append(coef)
+            rows.append(row)
+            rhs.append(Fraction(target.get(delta, 0)))
+    sol = linalg.solve(rows, rhs)
+    assert sol is not None
+    e_xi_inv = lifted[basis.pos_symbol[lv.xi]].inverse()
+    result = LocElem.const(c.dset, 0)
+    for coef, (a, b) in zip(sol, pairs):
+        if coef:
+            term = lifted[basis.pos_symbol[a]] * lifted[basis.pos_symbol[b]]
+            result = result + term * e_xi_inv * coef
+    return result
+
+
+def _reference_lift(c, lv, lifted, cartan_basis):
+    """Lift through one level by quadratic-over-center corrections."""
+    basis = c.basis
+    rs = basis.rs
+    gamma0 = [a for a in lv.gamma if a != lv.xi]
+    new_lifted = {}
+    for r in rs.positive_roots:
+        sym = basis.pos_symbol[r]
+        if sym not in lifted or r in lv.gamma:
+            continue
+
+        def bracket_action(g, r=r):
+            s = tuple(x + y for x, y in zip(r, g))
+            if s not in basis._root_set:
+                return {}
+            assert s in gamma0
+            return {s: basis.structure_constant(r, g)}
+
+        new_lifted[sym] = lifted[sym] - _quadratic_correction(
+            c, lv, lifted, bracket_action
+        )
+    xi_row = [rs.cartan_pairing(lv.xi, a) for a in rs.simple_roots]
+    values = [sum(x * v for x, v in zip(xi_row, vec)) for vec, _ in cartan_basis]
+    new_cartan_basis = []
+    for combo in linalg.nullspace([values], ncols=len(cartan_basis)):
+        vec = tuple(
+            sum(x * b[0][i] for x, b in zip(combo, cartan_basis))
+            for i in range(rs.rank)
+        )
+        pre = LocElem.const(c.dset, 0)
+        for x, (_, lift) in zip(combo, cartan_basis):
+            pre = pre + lift * x
+
+        def h_action(g, vec=vec):
+            # [h, E_g] = g(h) E_g with h over the simple coroots
+            return {
+                g: sum(
+                    v * rs.cartan_pairing(g, a)
+                    for v, a in zip(vec, rs.simple_roots)
+                )
+            }
+
+        new_cartan_basis.append(
+            (vec, pre - _quadratic_correction(c, lv, lifted, h_action))
+        )
+    return new_lifted, new_cartan_basis
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2)],
+)
+def test_lift_through_a_level_is_its_s_maps(basis_of, monkeypatch, series, rank):
+    # every lift that survives a level is killed by each derivation of the
+    # level and equals the quadratic-over-center solution
+    calls = []
+    lift_through = AdjointConstruction._lift_through
+
+    def recording(self, lv, stages, lifted, cartan_basis):
+        out = lift_through(self, lv, stages, lifted, cartan_basis)
+        calls.append((lv, stages, lifted, cartan_basis, out))
+        return out
+
+    monkeypatch.setattr(AdjointConstruction, "_lift_through", recording)
+    c = AdjointConstruction(basis_of(series, rank))
+    assert len(calls) == len(c.levels)
+    for lv, stages, lifted, cartan_basis, out in calls:
+        assert out == _reference_lift(c, lv, lifted, cartan_basis)
+        # the generators are moved by the low stages of a level only, so
+        # each coordinate is lifted too: the level's s-maps carry any
+        # element into the kernel of every derivation of the level
+        probes = [(lifted, cartan_basis, out)]
+        for v in c.dset.vars:
+            x = LocElem.variable(c.dset, v)
+            args = (dict.fromkeys(lifted, x), [(vec, x) for vec, _ in cartan_basis])
+            probes.append((*args, lift_through(c, lv, stages, *args)))
+        for *_, (new_lifted, new_cartan_basis) in probes:
+            lifts = list(new_lifted.values()) + [h for _, h in new_cartan_basis]
+            for d, _ in stages:
+                for lift in lifts:
+                    assert d.apply(lift).is_zero(), (lv.xi, d.label)
+
+
+def _construction_digest(c):
+    h = hashlib.sha256()
+    for d, sp in c.projector.stages:
+        h.update(d.label.encode())
+        h.update(json.dumps(sp.q.to_json(), sort_keys=True).encode())
+        witness = [w.to_json() for w in sp.witness] if sp.witness else None
+        h.update(json.dumps(witness, sort_keys=True).encode())
+    h.update(json.dumps(c.dset.to_json(), sort_keys=True).encode())
+    h.update(
+        json.dumps([x.to_json() for x in c.xi_elements], sort_keys=True).encode()
+    )
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "series,rank,digest",
+    [
+        ("F", 4, "5f4c0428f7d3d6f34220a4c3fe1aee7ce2069d18bcc1d103580089b5383e964a"),
+        ("E", 6, "02cefebc11f5a0cdf527ff989a5a9cd996fef860f238f5c75faeec4aa2280683"),
+    ],
+)
+def test_exceptional_construction_is_pinned(basis_of, series, rank, digest):
+    # stages (label, slice, witness), denominator set and Xi chain
+    assert _construction_digest(AdjointConstruction(basis_of(series, rank))) == digest

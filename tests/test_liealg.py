@@ -87,6 +87,24 @@ def test_jacobi_check_catches_one_flipped_e6_sign(monkeypatch):
         ChevalleyBasis(rs)
 
 
+def test_bracket_table_is_integral(basis_of, monkeypatch):
+    b = basis_of("G", 2)
+    assert all(
+        type(c) is int
+        for row in b._table.values()
+        for pairs in row.values()
+        for _, c in pairs
+    )
+    true_constant = ChevalleyBasis.structure_constant
+
+    def structure_constant(self, alpha, beta):
+        return true_constant(self, alpha, beta) / 2
+
+    monkeypatch.setattr(ChevalleyBasis, "structure_constant", structure_constant)
+    with pytest.raises(RuntimeError, match="non-integral constant"):
+        ChevalleyBasis(b.rs)
+
+
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
 def test_jacobi_sum_vanishes_on_every_triple_the_weight_filter_skips(
     basis_of, series, rank

@@ -52,6 +52,8 @@ def test_mat_inv_roundtrip():
 def test_mat_vec():
     m = frac_rows([[1, 2], [3, 4]])
     assert linalg.mat_vec(m, [Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
+    m = frac_rows([[0, 2], [0, 0]])
+    assert linalg.mat_vec(m, [Fraction(5), Fraction(1, 2)]) == [Fraction(1), Fraction(0)]
 
 
 def dense_mat_mul(a, b):

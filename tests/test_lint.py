@@ -39,3 +39,38 @@ def test_modules_import_at_top_level_only():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 )
     assert not found, f"import inside a function at {found}"
+
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_private_helpers_are_referenced():
+    # a private function, method or class that nothing in the library
+    # reaches outside its own body is dead code left behind by a change
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.rglob("*.py"))]
+    uses = {}  # name -> ids of the nodes that reference it
+    defs = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (name := _referenced_name(node)) is not None:
+                uses.setdefault(name, set()).add(id(node))
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+            ):
+                defs.append(node)
+    unused = [
+        node.name
+        for node in defs
+        if not uses.get(node.name, set()) - {id(n) for n in ast.walk(node)}
+    ]
+    assert not unused, f"private helpers never referenced: {unused}"
