@@ -24,7 +24,7 @@ from .liealg import chevalley_constants
 from .linalg import read_rational
 from .projector import verify_invariance
 from .rootsystem import InvalidDynkinDatum, build_root_system, kostant_cascade
-from .symfield import SingularPointError
+from .symfield import DegreeBoundError, SingularPointError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -139,7 +139,7 @@ def cmd_verify(args):
     for src in sources:
         try:
             elem = parse_expression(src, dset)
-        except ParseError as e:
+        except (ParseError, DegreeBoundError) as e:
             print(f"error: cannot parse {src!r}: {e}", file=sys.stderr)
             return EXIT_INVALID
         report = verify_invariance(elem, family)

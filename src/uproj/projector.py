@@ -10,14 +10,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 from . import linalg
 from .symfield import (
+    FIELD_BITS,
+    FIELD_MASK,
+    MAX_DEGREE,
     LocElem,
+    Packing,
     Poly,
     SingularPointError,
     UniverseMismatch,
+    check_degree,
 )
 
 
@@ -48,19 +52,24 @@ class Derivation:
             if not img.is_zero():
                 self.images[v] = img
         # D(x^e) = sum_i e_i x^(e - unit_i) img_i, so each image term
-        # (e2, n2) of variable i shifts an exponent by e2 - unit_i; the
-        # numerators are brought over the images' common denominator
+        # (e2, n2) of variable i moves the packed key of x^e by
+        # key(e2) - key(unit_i), exact whenever e_i >= 1; the field at bit
+        # FIELD_BITS * i holds MAX_DEGREE - e_i.  The numerators are
+        # brought over the images' common denominator
+        pk = Packing.of(dset.vars)
         self._image_den = lcm(*(img._den for img in self.images.values()))
         self._shifts = []
         for v, img in self.images.items():
             i = dset.vars.index(v)
             scale = self._image_den // img._den
-            shifted = []
-            for e2, n2 in img._num.items():
-                delta = list(e2)
-                delta[i] -= 1
-                shifted.append((tuple(delta), n2 * scale))
-            self._shifts.append((i, shifted))
+            unit = pk.base + pk.units[i]
+            self._shifts.append(
+                (FIELD_BITS * i, [(k2 - unit, n2 * scale) for k2, n2 in img._num.items()])
+            )
+        # images of degree d > 1 can raise a total degree by d - 1
+        self._degree_rise = max(
+            (img.total_degree() for img in self.images.values()), default=1
+        ) - 1
         # D(gens[i]) by generator index; gens only ever grows, so the
         # index is a stable key
         self._gen_images = {}
@@ -106,19 +115,22 @@ class Derivation:
         return LocElem(self.dset, num, den)
 
     def _apply_poly(self, p):
-        """D(p) in one pass over the integer numerators of p."""
+        """D(p) in one pass over the packed integer numerators of p."""
+        if self._degree_rise > 0:
+            check_degree(p.total_degree() + self._degree_rise)
         terms = {}
-        for exp, num in p._num.items():
-            for i, shifted in self._shifts:
-                k = exp[i]
+        get = terms.get
+        for key, num in p._num.items():
+            for at, shifted in self._shifts:
+                k = MAX_DEGREE - ((key >> at) & FIELD_MASK)
                 if not k:
                     continue
                 nk = num * k
                 for delta, c2 in shifted:
-                    ne = tuple(map(add, exp, delta))
-                    terms[ne] = terms.get(ne, 0) + nk * c2
-        return Poly.from_integers(
-            p.vars, {e: c for e, c in terms.items() if c}, p._den * self._image_den
+                    ne = key + delta
+                    terms[ne] = get(ne, 0) + nk * c2
+        return Poly.from_packed(
+            p._pk, {k: c for k, c in terms.items() if c}, p._den * self._image_den
         )
 
     def _gen_image(self, i):

@@ -1,23 +1,45 @@
 """Exact multivariate polynomials and localized elements over the rationals.
 
 A polynomial is stored as integer numerators over one positive common
-denominator: a sparse dict mapping exponent tuples to nonzero ints, and an
-int, kept in lowest terms so that equal polynomials have equal fields.
-All arithmetic runs on Python ints; a read-only {exp: Fraction} view of
-the coefficients is built on demand.  Localized elements (LocElem) carry a
-polynomial numerator and a formal monomial denominator over a declared
-multiplicative set of generator polynomials; cancellation happens only by
-exact division against those generators, so normal forms stay cheap and
-canonical.
+denominator, kept in lowest terms so that equal polynomials have equal
+fields.  Each monomial is one packed int, after Monagan and Pearce
+(*Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors*, CASC 2007).  Over n variables the key of x^e has n + 1 fields of
+16 bits, from the top down
+
+    key(e) = [ |e| | c - e_n | c - e_(n-1) | ... | c - e_1 ],  c = 2^15 - 1,
+
+so that
+
+- comparing keys as ints is the graded reverse-lexicographic order;
+- key(a + b) = key(a) + key(b) - key(0), so a product of monomials is an
+  int sum;
+- x^d divides x^r exactly when key(r) - key(d) + key(0) has the top
+  (guard) bit of no field set.
+
+Every exponent fits its field while the total degree is at most
+MAX_DEGREE = c = 32767.  An operation whose result could pass that bound
+raises DegreeBoundError; a field never wraps.  Exponent tuples appear only
+at the edges: the {exp: rational} constructor, the read-only
+{exp: Fraction} view `terms`, `sorted_terms`, `leading`, JSON and text.
+
+Localized elements (LocElem) carry a polynomial numerator and a formal
+monomial denominator over a declared multiplicative set of generator
+polynomials; cancellation happens only by exact division against those
+generators, so normal forms stay cheap and canonical.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
 from types import MappingProxyType
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
 
 
 class UniverseMismatch(ValueError):
@@ -28,56 +50,119 @@ class SingularPointError(ValueError):
     """A denominator generator vanishes at the evaluation point."""
 
 
+class DegreeBoundError(ValueError):
+    """A monomial would pass MAX_DEGREE, the total degree that the packed
+    exponent fields hold."""
+
+
+def check_degree(deg):
+    if deg > MAX_DEGREE:
+        raise DegreeBoundError(
+            f"total degree {deg} passes the bound {MAX_DEGREE} of packed monomials"
+        )
+
+
 def _fr(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
 
 
-def grevlex_key(exp):
-    """Sort key for graded reverse-lexicographic order, largest first."""
-    return (-sum(exp), tuple(exp[::-1]))
+class Packing:
+    """Packed monomial keys over one variable tuple.
+
+    base is key(0), with c in every variable field; shift is the bit
+    offset of the degree field; guard has the top bit of every field set;
+    units[i] is key(x_i) - key(0).  Packing.of returns one shared instance
+    per variable tuple, so two polynomials share a universe exactly when
+    they share a Packing.
+    """
+
+    __slots__ = ("vars", "base", "shift", "guard", "units", "_fields")
+    _shared = {}
+
+    @classmethod
+    def of(cls, variables):
+        variables = tuple(variables)
+        pk = cls._shared.get(variables)
+        if pk is None:
+            pk = cls._shared[variables] = cls(variables)
+        return pk
+
+    def __init__(self, variables):
+        n = len(variables)
+        ones = sum(1 << (FIELD_BITS * i) for i in range(n))
+        self.vars = variables
+        self.shift = FIELD_BITS * n
+        self.base = MAX_DEGREE * ones
+        self.guard = (MAX_DEGREE + 1) * (ones + (1 << self.shift))
+        self.units = [(1 << self.shift) - (1 << (FIELD_BITS * i)) for i in range(n)]
+        # the exponents e_1 .. e_n as 16-bit little-endian fields
+        self._fields = struct.Struct(f"<{n}H")
+
+    def pack(self, exp):
+        """key(exp) for a tuple of nonnegative ints."""
+        exp = tuple(exp)
+        if len(exp) != len(self.vars) or min(exp, default=0) < 0:
+            raise ValueError(
+                f"exponent {exp} is not {len(self.vars)} nonnegative integers"
+            )
+        deg = sum(exp)
+        check_degree(deg)
+        plain = int.from_bytes(self._fields.pack(*exp), "little")
+        return self.base + (deg << self.shift) - plain
+
+    def unpack(self, key):
+        """The exponent tuple of a key."""
+        plain = self.base + ((key >> self.shift) << self.shift) - key
+        return self._fields.unpack(plain.to_bytes(self._fields.size, "little"))
 
 
 class Poly:
     """Sparse exact polynomial over an ordered variable tuple.
 
-    The coefficient of exp is _num[exp] / _den: _num maps exponent tuples
-    to nonzero ints, _den is a positive int, gcd(_den, *_num.values()) is
-    1, and the zero polynomial has _den 1.
+    The coefficient of the monomial with key k (see Packing) is
+    _num[k] / _den: _num maps keys to nonzero ints, _den is a positive
+    int, gcd(_den, *_num.values()) is 1, and the zero polynomial has _den
+    1.  Keys compare as grevlex, so max(_num) is the leading monomial, and
+    no monomial has total degree above MAX_DEGREE.
     """
 
-    __slots__ = ("vars", "_num", "_den", "_terms")
+    __slots__ = ("vars", "_pk", "_num", "_den", "_terms")
 
     def __init__(self, variables, terms=None):
         """Polynomial with the given {exp: rational} coefficients."""
+        pk = Packing.of(variables)
         coeffs = {}
         if terms:
             for exp, coeff in terms.items():
                 c = _fr(coeff)
                 if c:
-                    coeffs[tuple(exp)] = c
+                    coeffs[pk.pack(exp)] = c
         # over the lcm of the reduced denominators the numerators are
         # already coprime to it, so the result is in lowest terms
         den = lcm(*(c.denominator for c in coeffs.values()))
-        self.vars = tuple(variables)
+        self.vars = pk.vars
+        self._pk = pk
         self._num = {
-            e: c.numerator * (den // c.denominator) for e, c in coeffs.items()
+            k: c.numerator * (den // c.denominator) for k, c in coeffs.items()
         }
         self._den = den
         self._terms = None
 
     @classmethod
-    def from_integers(cls, variables, num, den=1):
-        """Polynomial num / den from {exp: nonzero int} and a positive int
-        den, brought to lowest terms; num is taken over, not copied."""
+    def from_packed(cls, pk, num, den=1):
+        """Polynomial num / den from {key: nonzero int} over the Packing pk
+        and a positive int den, brought to lowest terms; num is taken
+        over, not copied."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
                 den //= g
-                num = {e: n // g for e, n in num.items()}
+                num = {k: n // g for k, n in num.items()}
         p = cls.__new__(cls)
-        p.vars = variables
+        p.vars = pk.vars
+        p._pk = pk
         p._num = num
         p._den = den
         p._terms = None
@@ -87,21 +172,16 @@ class Poly:
 
     @classmethod
     def const(cls, variables, value):
-        variables = tuple(variables)
+        pk = Packing.of(variables)
         value = _fr(value)
         if value == 0:
-            return cls.from_integers(variables, {})
-        return cls.from_integers(
-            variables, {(0,) * len(variables): value.numerator}, value.denominator
-        )
+            return cls.from_packed(pk, {})
+        return cls.from_packed(pk, {pk.base: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, variables, name):
-        variables = tuple(variables)
-        i = variables.index(name)
-        exp = [0] * len(variables)
-        exp[i] = 1
-        return cls.from_integers(variables, {tuple(exp): 1})
+        pk = Packing.of(variables)
+        return cls.from_packed(pk, {pk.base + pk.units[pk.vars.index(name)]: 1})
 
     @classmethod
     def linear(cls, variables, coeffs):
@@ -121,9 +201,9 @@ class Poly:
     def terms(self):
         """Read-only {exp: Fraction} view of the coefficients."""
         if self._terms is None:
-            den = self._den
+            den, unpack = self._den, self._pk.unpack
             self._terms = MappingProxyType(
-                {e: Fraction(n, den) for e, n in self._num.items()}
+                {unpack(k): Fraction(n, den) for k, n in self._num.items()}
             )
         return self._terms
 
@@ -133,7 +213,8 @@ class Poly:
         return not self._num
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self._num)
+        base = self._pk.base
+        return all(k == base for k in self._num)
 
     def constant_value(self):
         if not self._num:
@@ -145,17 +226,16 @@ class Poly:
     def total_degree(self):
         if not self._num:
             return 0
-        return max(map(sum, self._num))
+        return max(self._num) >> self._pk.shift
 
     def coefficient_of(self, name):
         """Coefficient of the plain variable term (degree-one monomial)."""
-        i = self.vars.index(name)
-        exp = [0] * len(self.vars)
-        exp[i] = 1
-        return Fraction(self._num.get(tuple(exp), 0), self._den)
+        pk = self._pk
+        key = pk.base + pk.units[pk.vars.index(name)]
+        return Fraction(self._num.get(key, 0), self._den)
 
     def _check(self, other):
-        if self.vars != other.vars:
+        if self._pk is not other._pk:
             raise UniverseMismatch(
                 f"variable universes differ: {self.vars} vs {other.vars}"
             )
@@ -172,20 +252,20 @@ class Poly:
         else:
             den = lcm(da, db)
             ma, mb = den // da, den // db
-            num = {e: n * ma for e, n in self._num.items()}
-        for e, n in other._num.items():
-            s = num.get(e, 0) + n * mb
+            num = {k: n * ma for k, n in self._num.items()}
+        for k, n in other._num.items():
+            s = num.get(k, 0) + n * mb
             if s:
-                num[e] = s
+                num[k] = s
             else:
-                del num[e]
-        return Poly.from_integers(self.vars, num, den)
+                del num[k]
+        return Poly.from_packed(self._pk, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly.from_integers(
-            self.vars, {e: -n for e, n in self._num.items()}, self._den
+        return Poly.from_packed(
+            self._pk, {k: -n for k, n in self._num.items()}, self._den
         )
 
     def __sub__(self, other):
@@ -197,26 +277,31 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        pk = self._pk
         if not isinstance(other, Poly):
             c = _fr(other)
             if c == 0:
-                return Poly.from_integers(self.vars, {})
-            k = c.numerator
-            return Poly.from_integers(
-                self.vars,
-                {e: n * k for e, n in self._num.items()},
-                self._den * c.denominator,
+                return Poly.from_packed(pk, {})
+            m = c.numerator
+            return Poly.from_packed(
+                pk, {k: n * m for k, n in self._num.items()}, self._den * c.denominator
             )
         self._check(other)
+        a, b = self._num, other._num
+        if not a or not b:
+            return Poly.from_packed(pk, {})
+        check_degree((max(a) >> pk.shift) + (max(b) >> pk.shift))
+        base = pk.base
         acc = {}
         get = acc.get
-        onum = other._num.items()
-        for e1, n1 in self._num.items():
-            for e2, n2 in onum:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + n1 * n2
-        return Poly.from_integers(
-            self.vars, {e: n for e, n in acc.items() if n}, self._den * other._den
+        bterms = b.items()
+        for k1, n1 in a.items():
+            k1 -= base
+            for k2, n2 in bterms:
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
+        return Poly.from_packed(
+            pk, {k: n for k, n in acc.items() if n}, self._den * other._den
         )
 
     __rmul__ = __mul__
@@ -224,20 +309,22 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        check_degree(self.total_degree() * n)
         result = Poly.const(self.vars, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return self.is_constant() and self.constant_value() == _fr(other)
         return (
-            self.vars == other.vars
+            self._pk is other._pk
             and self._den == other._den
             and self._num == other._num
         )
@@ -248,50 +335,71 @@ class Poly:
     # -- calculus and evaluation ---------------------------------------
 
     def deriv(self, name):
-        i = self.vars.index(name)
+        pk = self._pk
+        i = pk.vars.index(name)
+        at, unit = FIELD_BITS * i, pk.units[i]
         num = {}
-        for exp, n in self._num.items():
-            k = exp[i]
-            if k:
-                new = list(exp)
-                new[i] = k - 1
-                num[tuple(new)] = n * k
-        return Poly.from_integers(self.vars, num, self._den)
+        for key, n in self._num.items():
+            e = MAX_DEGREE - ((key >> at) & FIELD_MASK)
+            if e:
+                num[key - unit] = n * e
+        return Poly.from_packed(pk, num, self._den)
 
     def evaluate(self, point):
         """Exact substitution; point maps variable name to a rational.
 
         With the point written as a_j / b over one common b, the value is
         sum_e n_e prod a_j^e_j b^(deg - |e|) / (den b^deg), an integer sum
-        turned into one Fraction.
+        turned into one Fraction.  Each key is read only at the fields of
+        the variables its monomial contains.
         """
         vals = [_fr(point[v]) for v in self.vars]
+        if not self._num:
+            return Fraction(0)
         b = lcm(*(v.denominator for v in vals))
-        ints = [v.numerator * (b // v.denominator) for v in vals]
+        # a_j by the bit offset of x_j's field
+        ints = {
+            FIELD_BITS * j: v.numerator * (b // v.denominator)
+            for j, v in enumerate(vals)
+        }
+        pk = self._pk
+        shift, base = pk.shift, pk.base
         deg = self.total_degree()
-        bpow = [1]
-        for _ in range(deg):
-            bpow.append(bpow[-1] * b)
+        bpow = {}  # |e| -> b^(deg - |e|)
         total = 0
-        for exp, n in self._num.items():
-            t = n * bpow[deg - sum(exp)]
-            for a, e in zip(ints, exp):
-                if e:
-                    t *= a**e
+        for key, n in self._num.items():
+            d = key >> shift
+            scale = bpow.get(d)
+            if scale is None:
+                scale = bpow[d] = b ** (deg - d)
+            t = n * scale
+            # e_j uncomplemented, in x_j's field; each pass takes the
+            # lowest field that is set (& -FIELD_BITS rounds a bit index
+            # down to its field's offset)
+            plain = base + (d << shift) - key
+            while plain:
+                at = ((plain & -plain).bit_length() - 1) & -FIELD_BITS
+                e = (plain >> at) & FIELD_MASK
+                plain -= e << at
+                t *= ints[at] ** e
             total += t
-        return Fraction(total, self._den * bpow[deg])
+        return Fraction(total, self._den * b**deg)
 
     # -- normal form helpers -------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
+        """(exp, Fraction) pairs in decreasing grevlex order."""
+        num, den, unpack = self._num, self._den, self._pk.unpack
+        return [
+            (unpack(k), Fraction(num[k], den)) for k in sorted(num, reverse=True)
+        ]
 
     def leading(self):
         """Leading (exp, coeff) in grevlex order; None for the zero poly."""
         if not self._num:
             return None
-        exp = min(self._num, key=grevlex_key)
-        return exp, Fraction(self._num[exp], self._den)
+        key = max(self._num)
+        return self._pk.unpack(key), Fraction(self._num[key], self._den)
 
     def content_and_primitive(self):
         """Write self = c * p with p having integer coprime coefficients
@@ -299,11 +407,9 @@ class Poly:
         if not self._num:
             return Fraction(1), self
         g = gcd(*self._num.values())
-        if self.leading()[1] < 0:
+        if self._num[max(self._num)] < 0:
             g = -g
-        prim = Poly.from_integers(
-            self.vars, {e: n // g for e, n in self._num.items()}
-        )
+        prim = Poly.from_packed(self._pk, {k: n // g for k, n in self._num.items()})
         return Fraction(g, self._den), prim
 
     def exact_div(self, divisor):
@@ -313,53 +419,63 @@ class Poly:
         numerator, over the integers: by Gauss's lemma a primitive integer
         polynomial divides an integer polynomial over Q exactly when it
         does over Z, so the first quotient coefficient that is not an
-        integer proves there is no quotient.
+        integer proves there is no quotient.  The leading terms are
+        divided before the heap is built; most failing divisions fail
+        there.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         self._check(divisor)
+        pk = self._pk
         if not self._num:
-            return Poly.from_integers(self.vars, {})
+            return Poly.from_packed(pk, {})
+        base, guard = pk.base, pk.guard
         dnum = divisor._num
+        dkey = max(dnum)
+        rkey = max(self._num)
+        # key(r) + to_q is the key of x^r / x^d; a set guard bit means
+        # some exponent of the quotient is negative
+        to_q = base - dkey
+        if (rkey + to_q) & guard:
+            return None
         content = gcd(*dnum.values())
-        if content != 1:
-            dnum = {e: n // content for e, n in dnum.items()}
-        dexp = min(dnum, key=grevlex_key)
-        dlead = dnum[dexp]
-        dtail = [(e, n) for e, n in dnum.items() if e != dexp]
+        dlead = dnum[dkey] // content
+        if self._num[rkey] % dlead:
+            return None
+        dtail = [(k - base, n // content) for k, n in dnum.items() if k != dkey]
         # quotient terms come out in decreasing grevlex order, and every
         # update lands strictly below the term being cancelled, so each
         # monomial enters the heap once and is final when popped
         rem = dict(self._num)
-        heap = [(-sum(e), e[::-1]) for e in rem]
+        heap = [-k for k in rem]
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         qnum = {}
         while heap:
-            rexp = pop(heap)[1][::-1]
-            r = rem.pop(rexp)
+            rkey = -pop(heap)
+            r = rem.pop(rkey)
             if not r:
                 continue
-            q = tuple(map(sub, rexp, dexp))
-            if min(q, default=0) < 0:
+            q = rkey + to_q
+            if q & guard:
                 return None
             c, m = divmod(r, dlead)
             if m:
                 return None
             qnum[q] = c
-            for e2, n2 in dtail:
-                ne = tuple(map(add, q, e2))
-                old = rem.get(ne)
+            for off, n2 in dtail:
+                k = q + off
+                old = rem.get(k)
                 if old is None:
-                    rem[ne] = -c * n2
-                    push(heap, (-sum(ne), ne[::-1]))
+                    rem[k] = -c * n2
+                    push(heap, -k)
                 else:
-                    rem[ne] = old - c * n2
+                    rem[k] = old - c * n2
         # self / divisor = Q * divisor._den / (self._den * content)
         dd = divisor._den
         if dd != 1:
-            qnum = {e: n * dd for e, n in qnum.items()}
-        return Poly.from_integers(self.vars, qnum, self._den * content)
+            qnum = {k: n * dd for k, n in qnum.items()}
+        return Poly.from_packed(pk, qnum, self._den * content)
 
     # -- presentation ---------------------------------------------------
 
@@ -586,8 +702,9 @@ class LocElem:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self):

@@ -210,13 +210,21 @@ REP_FILE = "<rep file>"
         # E_1 is read through the denominator generator only
         (("eval", "--type", "A", "--rank", "1", "--expr", "H1*E_1^-1",
           "--point", '{"H1": "1"}'), None, "no value for 'E_1'"),
+        # total degrees one past the bound of packed monomials
+        (("verify", "--type", "A", "--rank", "1", "--expr", "E_1^32768"), None,
+         "bound 32767"),
+        (("verify", "--type", "A", "--rank", "1",
+          "--expr", "E_1^16384*F_1^16384"), None, "bound 32767"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "H1^32768",
+          "--point", '{"H1": "1"}'), None, "bound 32767"),
     ],
     ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
          "cascade-n", "verify-seed", "eval-seed", "point-zero-denominator",
          "verify-deep-nesting", "eval-deep-nesting", "point-exponent",
          "rep-exponent", "point-missing-variable",
-         "point-missing-denominator-variable"],
+         "point-missing-denominator-variable", "verify-degree-bound",
+         "verify-product-degree-bound", "eval-degree-bound"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"
@@ -250,6 +258,12 @@ def test_verify_invariant_expression_passes():
 def test_verify_non_invariant_exits_3():
     r = run_cli("verify", "--type", "A", "--rank", "1", "--expr", "F_1")
     assert r.returncode == 3
+
+
+def test_verify_at_the_degree_bound():
+    # the bound is inclusive: E_1^32767 is packed and checked
+    r = run_cli("verify", "--type", "A", "--rank", "1", "--expr", "E_1^32767")
+    assert r.returncode == 0
 
 
 def test_verify_parse_error_exits_2():

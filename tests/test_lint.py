@@ -74,3 +74,17 @@ def test_private_helpers_are_referenced():
         if not uses.get(node.name, set()) - {id(n) for n in ast.walk(node)}
     ]
     assert not unused, f"private helpers never referenced: {unused}"
+
+
+def test_packed_polynomial_fields_stay_in_the_kernel():
+    # Poly._num is keyed by packed ints; a module that reads it, or
+    # _den, outside the kernel would bring back exponent-tuple assumptions
+    kernel = {"symfield.py", "projector.py"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in kernel:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"Poly internals read outside the kernel at {found}"

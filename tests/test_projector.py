@@ -22,6 +22,8 @@ from uproj.projector import (
     verify_invariance,
 )
 from uproj.symfield import (
+    MAX_DEGREE,
+    DegreeBoundError,
     DenominatorSet,
     LocElem,
     Poly,
@@ -243,6 +245,19 @@ def test_apply_matches_chain_rule(index):
         a = rand_locelem(rng, dset)
         assert d.apply(a) == reference_apply(d, a)
         assert d.apply(a.num) == reference_apply(d, LocElem(dset, a.num))
+
+
+def test_apply_raises_past_the_degree_bound():
+    # the nonlinear derivation sends x to yz, so it raises degrees by one
+    dset = kernel_dset()
+    linear, nonlinear = kernel_derivations(dset)[1:]
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    below = x * y ** (MAX_DEGREE - 2)
+    assert nonlinear.apply(below) == reference_apply(nonlinear, LocElem(dset, below))
+    top = below * y
+    assert linear.apply(top) == reference_apply(linear, LocElem(dset, top))
+    with pytest.raises(DegreeBoundError, match=str(MAX_DEGREE)):
+        nonlinear.apply(top)
 
 
 def test_derivation_rejects_image_over_other_universe():

@@ -1,11 +1,15 @@
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
 from uproj.symfield import (
+    MAX_DEGREE,
+    DegreeBoundError,
     DenominatorSet,
     LocElem,
+    Packing,
     Poly,
     SingularPointError,
     UniverseMismatch,
@@ -232,10 +236,13 @@ def ref_evaluate(a, point):
     return total
 
 
+def grevlex_key(exp):
+    """Sort key for graded reverse-lexicographic order, largest first."""
+    return (-sum(exp), tuple(exp[::-1]))
+
+
 def ref_exact_div(a, d):
     """Heap-free long division over Q in grevlex order, or None."""
-    from uproj.symfield import grevlex_key
-
     dexp = min(d, key=grevlex_key)
     rem = dict(a)
     quot = {}
@@ -366,6 +373,182 @@ def test_terms_view_and_json_round_trip():
         assert (back._num, back._den) == (p._num, p._den)
 
     check()
+
+
+# -- packed monomial keys ----------------------------------------------------
+#
+# The same reference comparisons at total degrees next to MAX_DEGREE, where
+# a field one bit too narrow or a wrong packing constant shows, and over a
+# 49-variable universe (the size of the n = 7 conjugation universe).
+
+WIDE = tuple(f"v{i}" for i in range(49))
+# factors of at most this total degree multiply to at most MAX_DEGREE - 1
+HALF = MAX_DEGREE // 2
+
+
+def _exps_near(st, nvars, top):
+    """Exponent tuples with one entry in [top - 3, top] at a drawn
+    position and entries in [0, 1] elsewhere, capped at total degree top."""
+
+    def build(args):
+        pos, big, small = args
+        exp = list(small)
+        exp[pos] = big
+        over = sum(exp) - top
+        for j in range(nvars):
+            if over > 0 and j != pos and exp[j]:
+                exp[j] -= 1
+                over -= 1
+        return tuple(exp)
+
+    return st.tuples(
+        st.integers(0, nvars - 1),
+        st.integers(top - 3, top),
+        st.tuples(*[st.integers(0, 1)] * nvars),
+    ).map(build)
+
+
+def _polys_near(st, nvars, top, max_terms=3):
+    coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return st.dictionaries(_exps_near(st, nvars, top), coeffs, max_size=max_terms)
+
+
+def _sparse_polys(st, nvars, max_terms=4):
+    """{exp: Fraction} dicts over nvars variables, each exponent tuple
+    nonzero at no more than three positions."""
+    exps = st.dictionaries(
+        st.integers(0, nvars - 1), st.integers(1, 3), max_size=3
+    ).map(lambda d: tuple(d.get(j, 0) for j in range(nvars)))
+    coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return st.dictionaries(exps, coeffs, max_size=max_terms)
+
+
+def _check_against_reference(variables, ta, tb, pt):
+    """*, exact_div (of a product and of a plain dividend), deriv and
+    evaluate of Polys built from ta and tb match the reference, and
+    sorted_terms, to_json and leading follow grevlex."""
+    a, b = Poly(variables, ta), Poly(variables, tb)
+    ra, rb = ref_clean(ta), ref_clean(tb)
+    prod = a * b
+    assert_normal(prod)
+    assert dict(prod.terms) == ref_mul(ra, rb)
+    if rb:
+        assert prod.exact_div(b) == a
+        got, want = a.exact_div(b), ref_exact_div(ra, rb)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert dict(got.terms) == want
+    for i in {0, len(variables) - 1, *(i for e in ra for i, k in enumerate(e) if k)}:
+        got = a.deriv(variables[i])
+        assert_normal(got)
+        assert dict(got.terms) == ref_deriv(ra, i)
+    point = dict(zip(variables, pt))
+    assert a.evaluate(point) == ref_evaluate(ra, pt)
+    order = sorted(ra, key=grevlex_key)
+    assert [e for e, _ in a.sorted_terms()] == order
+    assert [tuple(t["exp"]) for t in a.to_json()["terms"]] == order
+    assert a.leading() == ((order[0], ra[order[0]]) if order else None)
+
+
+def test_packed_keys_round_trip_and_order_as_grevlex():
+    hyp, st = _hypothesis()
+
+    @_settings(hyp)
+    @hyp.given(
+        st.sampled_from([VARS, WIDE]).flatmap(
+            lambda vs: st.tuples(
+                st.just(vs),
+                st.lists(_exps_near(st, len(vs), HALF), min_size=2, max_size=2),
+            )
+        )
+    )
+    def check(case):
+        variables, (r, d) = case
+        pk = Packing.of(variables)
+        kr, kd = pk.pack(r), pk.pack(d)
+        assert pk.unpack(kr) == r and pk.unpack(kd) == d
+        assert (kr < kd) == (grevlex_key(r) > grevlex_key(d))
+        # key(r + d) = key(r) + key(d) - key(0)
+        assert pk.pack(tuple(x + y for x, y in zip(r, d))) == kr + kd - pk.base
+        divides = all(x >= y for x, y in zip(r, d))
+        assert divides == (not (kr - kd + pk.base) & pk.guard)
+        # every field of a valid key is at most c: no guard bit is set
+        assert not (kr | kd) & pk.guard
+
+    check()
+
+
+def test_poly_matches_reference_next_to_the_degree_bound():
+    hyp, st = _hypothesis()
+    value = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                             Fraction(-1, 2), Fraction(2, 3)])
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(
+        _polys_near(st, len(VARS), HALF),
+        _polys_near(st, len(VARS), MAX_DEGREE - HALF),
+        st.tuples(*[value] * len(VARS)),
+    )
+    def check(ta, tb, pt):
+        _check_against_reference(VARS, ta, tb, pt)
+
+    check()
+
+
+def test_poly_matches_reference_over_49_variables():
+    hyp, st = _hypothesis()
+    point = st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * len(WIDE))
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(_sparse_polys(st, len(WIDE)), _sparse_polys(st, len(WIDE), 3), point)
+    def check(ta, tb, pt):
+        _check_against_reference(WIDE, ta, tb, pt)
+
+    check()
+
+
+def test_degree_bound_raises_and_never_wraps():
+    x = Poly.variable(VARS, "x")
+    y = Poly.variable(VARS, "y")
+    top = x ** (MAX_DEGREE - 1) * y
+    assert top.total_degree() == MAX_DEGREE
+    assert top.leading()[0] == (MAX_DEGREE - 1, 1, 0)
+    assert ((x + y) ** 3).total_degree() == 3
+    assert ((x * y) ** (MAX_DEGREE // 2)).total_degree() == MAX_DEGREE - 1
+    for make in (
+        lambda: top * x,
+        lambda: top * (y + 1),
+        lambda: x ** (MAX_DEGREE + 1),
+        lambda: (x * y) ** (MAX_DEGREE // 2 + 1),
+        lambda: Poly(VARS, {(MAX_DEGREE, 1, 0): 1}),
+        lambda: Poly(VARS, {(MAX_DEGREE + 1, 0, 0): 1}),
+    ):
+        with pytest.raises(DegreeBoundError, match=str(MAX_DEGREE)):
+            make()
+    # the last square of a power is not taken, so x^n needs only n <= bound
+    assert (x ** MAX_DEGREE).leading() == ((MAX_DEGREE, 0, 0), 1)
+    with pytest.raises(ValueError):
+        Poly(VARS, {(1, -1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(VARS, {(1, 0): 1})
+
+
+def test_exact_div_rejects_at_the_leading_term_before_building_a_heap(
+    monkeypatch,
+):
+    def no_heap(heap):
+        raise RuntimeError("heap built")
+
+    monkeypatch.setattr(heapq, "heapify", no_heap)
+    d = Poly(VARS, {(1, 0, 0): 2, (0, 0, 0): 1})
+    # the leading monomial y^2 is not a multiple of x
+    assert Poly(VARS, {(0, 2, 0): 1, (1, 0, 0): 3}).exact_div(d) is None
+    # x^2 is, but its coefficient 3 is not a multiple of 2
+    assert Poly(VARS, {(2, 0, 0): 3, (0, 0, 0): 1}).exact_div(d) is None
+    # a divisor of higher degree than the dividend
+    assert Poly(VARS, {(0, 0, 1): 1}).exact_div(d * d) is None
+    with pytest.raises(RuntimeError, match="heap built"):
+        (d * d).exact_div(d)
 
 
 # -- property tests of LocElem ---------------------------------------------
