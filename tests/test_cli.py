@@ -127,6 +127,8 @@ def test_generators_rep_from_file(tmp_path):
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert [g["text"] for g in data["generators"]] == ["y2"]
+    if jsonschema is not None:
+        jsonschema.validate(data, load_schema("generator_set.schema.json"))
 
 
 def test_generators_rep_bad_file_exits_2(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -211,3 +213,72 @@ def test_generators_invariant_under_simple_derivations(basis_of):
     for d in c.simple_derivations():
         for name, elem in gs.entries:
             assert d.apply(elem).is_zero(), (name, d.label)
+
+
+def _rep_construction_digest(c):
+    h = hashlib.sha256()
+
+    def add(data):
+        h.update(json.dumps(data, sort_keys=True).encode())
+
+    add(c.generator_set(seed=0).to_json())
+    for stage in c.stages:
+        add(stage.lowest_form.to_json())
+        add([list(a) for a in stage.m_roots])
+        add(stage.denominator.to_json())
+        for d, sp in stage.stages:
+            h.update(d.label.encode())
+            add(sp.q.to_json())
+            add([w.to_json() for w in sp.witness])
+    add(c.dset.to_json())
+    return h.hexdigest()
+
+
+def _pinned_rep(basis_of, name, series, rank):
+    b = basis_of(series, rank)
+    return {
+        "def": lambda: defining_rep(b),
+        "adj": lambda: adjoint_rep(b),
+        "def+def": lambda: direct_sum(defining_rep(b), defining_rep(b)),
+        "def+adj": lambda: direct_sum(defining_rep(b), adjoint_rep(b)),
+    }[name]()
+
+
+@pytest.mark.parametrize(
+    "name,series,rank,digest",
+    [
+        ("def", "A", 1,
+         "cb03ca6f85f9e9ac96cb0c684d17c263b1cfa22299b8e2048a4481a4a47c7e3a"),
+        ("def", "A", 2,
+         "542029336efe8bde68befb00d65e1df4e9b3b26ccf1d1437195136e3adcad5ad"),
+        ("def", "A", 3,
+         "82126576194bae60e4ad51d5dd1f3c4a672adfa1adbaff4b21427121f67914c9"),
+        ("adj", "A", 1,
+         "22f94181d8a8941019eed50a7d3373fd34680e3564479272f6db2aa0447f712f"),
+        ("adj", "A", 2,
+         "26658167e30880dbaabddb07c83ade1449defe9a085f88ca74b1e833632465cb"),
+        ("adj", "A", 3,
+         "f7d8dba16388afa65b66e1fdada2c7cdfba86e0918c6e9bfe6dde18d3fe65f1a"),
+        ("def+def", "A", 1,
+         "e1039cd926ce6f5cdddbad5b5d449ac0dcffdda3d39b218c7ee737a1a3c0b5e6"),
+        ("def+def", "A", 2,
+         "81c36edb7dc91839c943928172ee2434243b4e13455a3d21e2cfc85efd0fd537"),
+        ("def+def", "A", 3,
+         "7cc2920c288862ef52d82450d2988a8329bbe04a9651d0f15f4e82caa7630b8d"),
+        ("def+adj", "A", 1,
+         "153f3be3ae3e1ea5275ece4567419e20dc661a908b8202107f24049c16065fcf"),
+        ("def+adj", "A", 2,
+         "3147fc3399a80b6ff4f61905d0417c212638f6972b2d9d59ed9bd9c59090915a"),
+        ("def+adj", "A", 3,
+         "48630b28c47f0e03a7841bbc5d14eb5e27ff24b15c5f1dfc779f980e09aeb427"),
+        ("adj", "B", 2,
+         "50ecee5cfaba6260919c5eacd859e4cebb5eb226e409da07790ce1704e075a67"),
+        ("adj", "G", 2,
+         "65a2342124d302601a1c25d49ba419139f21552fd3b4c94ae522ad72f002c295"),
+    ],
+)
+def test_rep_construction_is_pinned(basis_of, name, series, rank, digest):
+    # generator set, every stage's lowest form, nilradical roots,
+    # denominator and (label, q, witness), and the denominator set
+    rep = _pinned_rep(basis_of, name, series, rank)
+    assert _rep_construction_digest(RepConstruction(rep)) == digest
