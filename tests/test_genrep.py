@@ -282,3 +282,24 @@ def test_rep_construction_is_pinned(basis_of, name, series, rank, digest):
     # denominator and (label, q, witness), and the denominator set
     rep = _pinned_rep(basis_of, name, series, rank)
     assert _rep_construction_digest(RepConstruction(rep)) == digest
+
+
+@pytest.mark.parametrize(
+    "sym,i,j,message",
+    [
+        ("F_10", 5, 0, "operator does not preserve the span"),
+        ("E_01", 5, 0, "does not fill the space"),
+        ("E_10", 1, 2, "invariant complement has a wrong dimension"),
+        ("E_11", 1, 2, "not a weight vector"),
+    ],
+)
+def test_construction_checks_reject_a_corrupted_operator(
+    basis_of, sym, i, j, message
+):
+    # one entry changed after validation reaches each runtime check of
+    # the peeling
+    b = basis_of("A", 2)
+    rep = direct_sum(defining_rep(b), defining_rep(b))
+    rep.rho[sym][i][j] += 1
+    with pytest.raises(RepValidationError, match=message):
+        RepConstruction(rep)
