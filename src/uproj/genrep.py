@@ -9,6 +9,25 @@ alpha running over the roots of m.  The recursion continues on the fixed
 Levi subalgebra until the action becomes diagonalizable; the surviving
 coordinate forms, projected, together with the denominator chain, give a
 free generating set of the invariant field.
+
+Every vector stays in ambient coordinates, and every operator acts as its
+matrix in rep.rho.  A stage holds its basis vectors, the coefficient rows
+of the linear forms dual to them on their span, and the roots of the
+current subalgebra.  One routine splits a span into irreducible summands:
+in each weight space, the lowest vectors are the combinations killed by
+every lowering operator, and the raising operators close each one into a
+summand.  It splits the stage span under the current subalgebra, then
+each of those summands under the Levi subalgebra.  When the basis
+changes, the forms follow by T[i][c] = old_form_c(new_vector_i): the new
+forms are T^{-T} applied to the old ones.
+
+Each stage raises RepValidationError when one of its invariants fails:
+every positive-root operator and the lowering operators of the simple
+and Levi-simple roots preserve the stage span, and the Levi raising and
+lowering operators preserve each summand's span; the summands fill the
+span they split; the orbit of v0 and the Levi complement together form a
+basis of the stage span; every vector of the new basis is a weight
+vector.
 """
 
 from __future__ import annotations
@@ -263,48 +282,42 @@ class RepConstruction(Construction):
         self.rep = rep
         self.dset = DenominatorSet(rep.variables)
         self.stages = []
-        dim = rep.dim
-        sub_basis = [
-            [Fraction(1 if i == j else 0) for i in range(dim)]
-            for j in range(dim)
-        ]
-        sub_forms = [
-            Poly.variable(rep.variables, v) for v in rep.variables
-        ]
-        sub_weights = list(rep.weights)
-        roots = frozenset(rep.basis.rs.roots)
-        excluded = []
+        rs = rep.basis.rs
+        self._cartan_inv = linalg.mat_inv(
+            [[rs.cartan_pairing(b, a) for b in rs.simple_roots]
+             for a in rs.simple_roots]
+        )
+        vectors = linalg.identity(rep.dim)
+        forms = linalg.identity(rep.dim)
+        roots = frozenset(rs.roots)
         flat = []
         while True:
-            data = self._stage(
-                sub_basis, sub_forms, sub_weights, roots, excluded, flat
-            )
+            data = self._stage(vectors, forms, roots, flat)
             if data is None:
                 break
-            stage, sub_basis, sub_forms, sub_weights, roots = data
+            stage, vectors, forms, roots = data
             self.stages.append(stage)
             flat.extend(stage.stages)
-        self.final_forms = sub_forms
+        self.final_forms = [self._linear(f) for f in forms]
         self.projector = Projector(flat, dset=self.dset)
 
     # -- per-stage work -------------------------------------------------------
 
-    @staticmethod
-    def _restricted(matrix, vectors):
-        """Matrix of an operator on the span of the given vectors, in their
-        coordinates."""
-        # coordinates of every image from one elimination against the
-        # vectors as columns
-        cols = linalg.solve_columns(
-            list(zip(*vectors)), [linalg.mat_vec(matrix, v) for v in vectors]
-        )
-        if cols is None:
-            raise RepValidationError("operator does not preserve the span")
-        return [list(row) for row in zip(*cols)]
+    def _linear(self, row):
+        """The linear form with the given coefficient row."""
+        variables = self.rep.variables
+        return Poly.linear(variables, dict(zip(variables, row)))
 
-    def _weight_of(self, vec, sub_weights):
+    @staticmethod
+    def _check_span(matrices, vectors):
+        """Raise unless every matrix maps the span of the vectors into it."""
+        images = [linalg.mat_vec(mat, v) for mat in matrices for v in vectors]
+        if linalg.solve_columns(list(zip(*vectors)), images) is None:
+            raise RepValidationError("operator does not preserve the span")
+
+    def _weight_of(self, vec):
         wt = None
-        for c, w in zip(vec, sub_weights):
+        for c, w in zip(vec, self.rep.weights):
             if c:
                 if wt is None:
                     wt = w
@@ -314,16 +327,7 @@ class RepConstruction(Construction):
 
     def _weight_key(self, wt):
         """Total order refining the dominance order on weights."""
-        rs = self.rep.basis.rs
-        rank = rs.rank
-        a = [
-            [Fraction(rs.cartan_pairing(rs.simple_roots[j], rs.simple_roots[i]))
-             for j in range(rank)]
-            for i in range(rank)
-        ]
-        x = linalg.solve(a, [Fraction(w) for w in wt])
-        if x is None:
-            raise RuntimeError(f"singular Cartan matrix solving for weight {wt}")
+        x = linalg.mat_vec(self._cartan_inv, wt)
         return (sum(x), tuple(x))
 
     def _simple_subroots(self, pos):
@@ -337,60 +341,51 @@ class RepConstruction(Construction):
         rs = self.rep.basis.rs
         return sorted(out, key=lambda r: (rs.height(r), r))
 
-    def _decompose(self, indices, matrices_pos, matrices_neg, sub_weights):
-        """Split the span of the given coordinate indices into irreducible
-        summands of the current subalgebra: weight-wise kernels of the
-        lowering operators, then closure under the raising ones.  Returns
-        lists of coordinate vectors."""
-        m = len(sub_weights)
-        if not matrices_neg:
-            return [
-                [[Fraction(1 if i == j else 0) for i in range(m)]]
-                for j in indices
-            ]
+    def _decompose(self, vectors, raising, lowering):
+        """Split the span of the given weight vectors into irreducible
+        summands of the subalgebra with these simple raising and lowering
+        operators.  The lowest vectors of each weight space are the
+        combinations its vectors take in the kernel of every lowering
+        operator; raising closes each one into a summand."""
+        if not lowering:
+            return [[v] for v in vectors]
         by_weight = {}
-        for j in indices:
-            by_weight.setdefault(sub_weights[j], []).append(j)
+        for v in vectors:
+            by_weight.setdefault(self._weight_of(v), []).append(v)
         summands = []
-        order = sorted(by_weight, key=self._weight_key)
-        for wt in order:
-            idxs = by_weight[wt]
-            rows = []
-            for neg in matrices_neg:
-                for i in range(m):
-                    rows.append([neg[i][j] for j in idxs])
-            for combo in linalg.nullspace(rows, ncols=len(idxs)):
-                v = [Fraction(0)] * m
-                for c, j in zip(combo, idxs):
-                    v[j] = c
-                summands.append(self._generate(v, matrices_pos))
-        total = sum(len(s) for s in summands)
-        if total != len(indices):
+        for wt in sorted(by_weight, key=self._weight_key):
+            space = by_weight[wt]
+            rows = [
+                list(row)
+                for mat in lowering
+                for row in zip(*(linalg.mat_vec(mat, v) for v in space))
+            ]
+            for combo in linalg.nullspace(rows, ncols=len(space)):
+                v0 = linalg.mat_mul([combo], space)[0]
+                summands.append(self._generate(v0, raising))
+        if sum(len(s) for s in summands) != len(vectors):
             raise RepValidationError("summand decomposition does not fill the space")
         return summands
 
-    def _generate(self, v, matrices_pos):
-        vectors = [list(v)]
-        rows = [list(v)]
-        frontier = [list(v)]
+    @staticmethod
+    def _generate(v, raising):
+        vectors = [v]
+        frontier = [v]
         while frontier:
             nxt = []
             for w in frontier:
-                for mat in matrices_pos:
+                for mat in raising:
                     img = linalg.mat_vec(mat, w)
-                    if any(img):
-                        if linalg.rank(rows + [img]) > len(vectors):
-                            vectors.append(img)
-                            rows.append(img)
-                            nxt.append(img)
+                    if any(img) and linalg.rank(vectors + [img]) > len(vectors):
+                        vectors.append(img)
+                        nxt.append(img)
             frontier = nxt
         return vectors
 
-    def _stage(self, sub_basis, sub_forms, sub_weights, roots, excluded, flat):
+    def _stage(self, vectors, forms, roots, flat):
         rep = self.rep
         basis = rep.basis
         rs = basis.rs
-        m = len(sub_basis)
         pos = sorted(
             (r for r in roots if rs.is_positive(r)),
             key=lambda r: (rs.height(r), r),
@@ -398,147 +393,81 @@ class RepConstruction(Construction):
         if not pos:
             return None
         simples = self._simple_subroots(pos)
-        r_pos = {
-            a: self._restricted(rep.rho[basis.pos_symbol[a]], sub_basis)
-            for a in pos
-        }
-        r_neg_simple = [
-            self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis)
-            for a in simples
-        ]
-        r_pos_simple = [r_pos[a] for a in simples]
+        raising = {a: rep.rho[basis.pos_symbol[a]] for a in pos}
+        lowering = [rep.rho[basis.neg_symbol[a]] for a in simples]
+        self._check_span(list(raising.values()) + lowering, vectors)
         summands = self._decompose(
-            list(range(m)), r_pos_simple, r_neg_simple, sub_weights
+            vectors, [raising[a] for a in simples], lowering
         )
-
-        def span_key(s):
-            return self._weight_key(self._weight_of(s[0], sub_weights))
-
-        candidates = sorted(
-            (s for s in summands if len(s) > 1), key=span_key
-        )
-        chosen = None
-        for cand in candidates:
-            if any(self._same_span(cand, e) for e in excluded):
-                continue
-            v0 = cand[0]
-            # the m-orbit of v0: roots that move it, with their images
-            moved = [(a, linalg.mat_vec(r_pos[a], v0)) for a in pos]
-            moved = [(a, img) for a, img in moved if any(img)]
-            if not moved:
-                excluded.append(cand)
-                continue
-            chosen = (cand, v0, moved)
-            break
-        if chosen is None:
+        candidates = [s for s in summands if len(s) > 1]
+        if not candidates:
             return None
-        cand, v0, moved = chosen
-        m_roots = [a for a, _ in moved]
-        levi = frozenset(
-            s
-            for a in pos
-            if a not in m_roots
-            for s in (a, tuple(-c for c in a))
+        # the second vector of a summand is the image of its first under a
+        # simple raising operator, so the m-orbit of v0 is never empty
+        cand = min(
+            candidates, key=lambda s: self._weight_key(self._weight_of(s[0]))
         )
-
-        new_vectors = [list(v0)] + [img for _, img in moved]
-        k = len(m_roots)
+        v0 = cand[0]
+        # the m-orbit of v0: roots that move it, with their images
+        moved = [(a, linalg.mat_vec(raising[a], v0)) for a in pos]
+        moved = [(a, img) for a, img in moved if any(img)]
+        m_roots = [a for a, _ in moved]
+        rest = [a for a in pos if a not in m_roots]
+        levi = frozenset(rest + [tuple(-c for c in a) for a in rest])
 
         # invariant complement of <v0> + m.v0, greedily from the Levi
         # summand decomposition; the chosen summand's pieces come first
-        levi_pos = self._simple_subroots(
-            sorted(
-                (r for r in levi if rs.is_positive(r)),
-                key=lambda r: (rs.height(r), r),
-            )
-        )
-        l_pos = [r_pos[a] for a in levi_pos]
-        l_neg = [
-            self._restricted(rep.rho[basis.neg_symbol[a]], sub_basis)
-            for a in levi_pos
-        ]
-        groups = [cand] + [
-            s for s in summands if not self._same_span(s, cand)
-        ]
-        levi_summands = []
-        for grp in groups:
-            idx_base = [list(v) for v in grp]
-            levi_summands.extend(
-                self._decompose_span(idx_base, l_pos, l_neg, sub_weights)
-            )
-        rows = [list(v) for v in new_vectors]
+        levi_simples = self._simple_subroots(rest)
+        l_pos = [raising[a] for a in levi_simples]
+        l_neg = [rep.rho[basis.neg_symbol[a]] for a in levi_simples]
+        self._check_span(l_neg, vectors)
+        new_vectors = [v0] + [img for _, img in moved]
+        k = len(m_roots)
         complement = []
-        for s in levi_summands:
-            r0 = linalg.rank(rows)
-            if linalg.rank(rows + [list(v) for v in s]) == r0 + len(s):
-                complement.extend(s)
-                rows.extend(list(v) for v in s)
-        if len(new_vectors) + len(complement) != m:
+        for grp in [cand] + [s for s in summands if s is not cand]:
+            self._check_span(l_pos + l_neg, grp)
+            for s in self._decompose(grp, l_pos, l_neg):
+                rows = new_vectors + complement
+                if linalg.rank(rows + s) == linalg.rank(rows) + len(s):
+                    complement.extend(s)
+        if len(new_vectors) + len(complement) != len(vectors):
             raise RepValidationError("invariant complement has a wrong dimension")
-        new_vectors = new_vectors + complement
+        new_vectors += complement
 
-        # transport the dual forms: new_form = (T^{-T}) . old_form
-        t = [list(v) for v in new_vectors]
-        tinv = linalg.mat_inv(t)
-        new_forms = []
-        for j in range(m):
-            f = Poly(rep.variables)
-            for c in range(m):
-                coef = tinv[c][j]
-                if coef:
-                    f = f + sub_forms[c] * coef
-            new_forms.append(f)
+        # transport the dual forms: the old forms are dual to the old basis
+        # on its span, so T[i][c] = old_form_c(new_vector_i) are the old
+        # coordinates of the new vectors, and the new forms are T^{-T}
+        # applied to the old ones
+        t = linalg.mat_mul(new_vectors, list(zip(*forms)))
+        new_forms = linalg.mat_mul(list(zip(*linalg.mat_inv(t))), forms)
 
         # transported slices for this stage, through the stages so far
-        den = apply_stages(flat, LocElem(self.dset, new_forms[0]))
+        lowest = self._linear(new_forms[0])
+        den = apply_stages(flat, LocElem(self.dset, lowest))
         den_inv = den.inverse()
         stage_list = []
         for j in range(k, 0, -1):
             a = m_roots[j - 1]
             d = self._ambient_derivation(a)
-            wj = apply_stages(flat, LocElem(self.dset, new_forms[j]))
+            wj = apply_stages(flat, LocElem(self.dset, self._linear(new_forms[j])))
             q = wj * Fraction(-1) * den_inv
             stage_list.append(
                 (d, SlicePair(d, q, witness=(wj * Fraction(-1), den)))
             )
 
-        # ambient coordinates: rows of new_vectors combine sub_basis rows
-        ambient_vectors = linalg.mat_mul(new_vectors, sub_basis)
-        new_weights = [self._weight_of(v, sub_weights) for v in new_vectors]
+        for v in new_vectors:
+            self._weight_of(v)  # raises on a vector of mixed weights
         stage = StageData(
             index=len(self.stages) + 1,
-            lowest_form=new_forms[0],
+            lowest_form=lowest,
             m_roots=m_roots,
             denominator=den,
             stages=stage_list,
         )
-        keep = [0] + list(range(k + 1, m))
-        next_basis = [ambient_vectors[i] for i in keep]
+        keep = [0] + list(range(k + 1, len(vectors)))
+        next_vectors = [new_vectors[i] for i in keep]
         next_forms = [new_forms[i] for i in keep]
-        next_weights = [new_weights[i] for i in keep]
-        return stage, next_basis, next_forms, next_weights, levi
-
-    def _decompose_span(self, vectors, l_pos, l_neg, sub_weights):
-        """Irreducible Levi summands of the span of the given vectors,
-        returned in subspace coordinates."""
-        if not l_neg:
-            return [[list(v)] for v in vectors]
-        # work in coordinates of the span
-        inner_weights = [self._weight_of(v, sub_weights) for v in vectors]
-        rp = [self._restricted(x, vectors) for x in l_pos]
-        rn = [self._restricted(x, vectors) for x in l_neg]
-        inner = self._decompose(
-            list(range(len(vectors))), rp, rn, inner_weights
-        )
-        # back to subspace coordinates: rows of s combine the vectors
-        return [linalg.mat_mul(s, vectors) for s in inner]
-
-    @staticmethod
-    def _same_span(a, b):
-        if len(a) != len(b):
-            return False
-        rows = [list(v) for v in a]
-        return linalg.rank(rows + [list(v) for v in b]) == len(a)
+        return stage, next_vectors, next_forms, levi
 
     def _ambient_derivation(self, root):
         rep = self.rep
