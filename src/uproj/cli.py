@@ -6,7 +6,8 @@ verify and eval also take --n (matrix size for conjugation).  Only
 generators takes --seed (default 0), which picks the random regular point
 of its Jacobian rank check; no other step is randomized, so repeated runs
 with the same arguments produce byte-identical JSON.
-Exit codes: 0 success, 2 invalid input, 3 verification failure.
+Exit codes: 0 success, 2 invalid input, 3 verification failure, 4 out of
+memory ("error: out of memory" on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .symfield import DegreeBoundError, SingularPointError
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNVERIFIED = 3
+EXIT_OUT_OF_MEMORY = 4
 
 
 def _emit(payload, fmt, text_lines=None, elapsed=None):
@@ -224,7 +226,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        pass
+    # reported once the handler has dropped the exception, and with it the
+    # frames that hold the memory
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

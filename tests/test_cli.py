@@ -15,7 +15,11 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from uproj import cli, genset
+from uproj.adjoint import AdjointConstruction
 from uproj.exprparse import ParseError, parse_expression
+from uproj.liealg import chevalley_constants
+from uproj.projector import sample_regular_point
+from uproj.rootsystem import build_root_system
 from uproj.symfield import DenominatorSet
 
 
@@ -68,6 +72,17 @@ def test_parse_expression_rejects_garbage(bad):
     dset = DenominatorSet(("H1",))
     with pytest.raises(ParseError):
         parse_expression(bad, dset)
+
+
+def test_parse_expression_registers_divisors_into_the_shared_set():
+    # a parsed divisor joins the construction's denominator set, so later
+    # regular-point sampling draws against it
+    c = AdjointConstruction(chevalley_constants(build_root_system("A", 2)))
+    before = sample_regular_point(c.dset, random.Random(9))
+    assert len(c.dset) == 1
+    parse_expression("1/(E_01 + H1)", c.dset)
+    assert len(c.dset) == 2
+    assert sample_regular_point(c.dset, random.Random(9)) != before
 
 
 # -- cascade ------------------------------------------------------------
@@ -159,6 +174,17 @@ def test_generators_seed_picks_jacobian_point(monkeypatch, capsys):
     seeded = capsys.readouterr().out
     assert cli.main(argv + ["0"]) == 0
     assert capsys.readouterr().out == seeded
+
+
+def test_out_of_memory_exits_4(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.BUILDERS, "conj", exhausted)
+    assert cli.main(["generators", "conj", "--n", "3"]) == cli.EXIT_OUT_OF_MEMORY == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 REP_FILE = "<rep file>"
