@@ -10,16 +10,17 @@ Levi subalgebra until the action becomes diagonalizable; the surviving
 coordinate forms, projected, together with the denominator chain, give a
 free generating set of the invariant field.
 
-Every vector stays in ambient coordinates, and every operator acts as its
-matrix in rep.rho.  A stage holds its basis vectors, the coefficient rows
-of the linear forms dual to them on their span, and the roots of the
-current subalgebra.  One routine splits a span into irreducible summands:
-in each weight space, the lowest vectors are the combinations killed by
-every lowering operator, and the raising operators close each one into a
-summand.  It splits the stage span under the current subalgebra, then
-each of those summands under the Levi subalgebra.  When the basis
-changes, the forms follow by T[i][c] = old_form_c(new_vector_i): the new
-forms are T^{-T} applied to the old ones.
+Every vector stays in ambient coordinates, and every operator acts
+through the sparse rows of its matrix in rep.sparse.  A stage holds its
+basis vectors, the coefficient rows of the linear forms dual to them on
+their span, and the roots of the current subalgebra.  One routine splits
+a span into irreducible summands: in each weight space, the lowest
+vectors are the combinations killed by every lowering operator, and the
+raising operators close each one into a summand.  It splits the stage
+span under the current subalgebra, then each of those summands under the
+Levi subalgebra.  When the basis changes, the forms follow by
+T[i][c] = old_form_c(new_vector_i): the new forms are T^{-T} applied to
+the old ones.
 
 Each stage raises RepValidationError when one of its invariants fails:
 every positive-root operator and the lowering operators of the simple
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 from .genset import Construction
@@ -54,6 +56,10 @@ class RepInput:
     and the H's) to dim x dim matrices; matrices of the remaining root
     vectors are derived through commutators.  `weights` lists, for every
     basis vector, its values on the simple coroots.
+
+    After validation `rho` maps every symbol to its matrix as a tuple of
+    Fraction tuples, and `sparse` to its sparse rows (see linalg); both
+    mappings are read-only.
     """
 
     def __init__(self, basis, dim, matrices, weights):
@@ -65,17 +71,24 @@ class RepInput:
         if any(len(w) != basis.rs.rank for w in self.weights):
             raise RepValidationError("each weight needs one value per coroot")
         self.variables = tuple(f"y{i + 1}" for i in range(self.dim))
-        given = {sym: linalg.frac_matrix(m) for sym, m in matrices.items()}
-        for sym, m in given.items():
+        given = {}
+        for sym, m in matrices.items():
+            m = linalg.frac_matrix(m)
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise RepValidationError(f"matrix for {sym} is not dim x dim")
-        self.rho = self._close_under_brackets(given)
+            given[sym] = linalg.sparse_rows(m)
+        self.sparse = MappingProxyType(self._close_under_brackets(given))
+        rho = {}
+        for sym, m in self.sparse.items():
+            rho[sym] = linalg.dense_rows(m, self.dim)
+        self.rho = MappingProxyType(rho)
         self.validate()
 
     # -- matrix bookkeeping -------------------------------------------------
 
     def _close_under_brackets(self, given):
-        """Extend the generator matrices to every Chevalley basis symbol."""
+        """Extend the sparse generator matrices to every Chevalley basis
+        symbol."""
         basis = self.basis
         rs = basis.rs
         rho = dict(given)
@@ -109,9 +122,7 @@ class RepInput:
                     )
                     a = rho[basis.neg_symbol[simple]]
                     b = rho[basis.neg_symbol[rest]]
-                rho[sym] = linalg.mat_scale(
-                    linalg.mat_commutator(a, b), Fraction(1) / n
-                )
+                rho[sym] = linalg.sparse_commutator(a, b, Fraction(1, n))
         leftovers = missing - set(rho)
         if leftovers:
             raise RepValidationError(f"could not derive matrices for {leftovers}")
@@ -126,33 +137,40 @@ class RepInput:
         return None
 
     def matrix_of(self, x):
-        """Matrix of a LieElement."""
-        acc = linalg.zero_matrix(self.dim)
+        """Sparse rows of the matrix of a LieElement."""
+        terms = []
         for sym, c in x.coefficients:
-            acc = linalg.mat_add(acc, linalg.mat_scale(self.rho[sym], c))
-        return acc
+            terms.append((c, self.sparse[sym]))
+        return linalg.sparse_combination(terms, self.dim)
 
     # -- validation -----------------------------------------------------------
 
     def validate(self):
         basis = self.basis
         for i, h in enumerate(basis.cartan_symbols):
-            m = self.rho[h]
-            for j in range(self.dim):
-                for a in range(self.dim):
-                    expected = self.weights[j][i] if a == j else Fraction(0)
-                    if m[a][j] != expected:
-                        raise RepValidationError(
-                            f"basis vector {j + 1} is not an eigenvector of "
-                            f"{h} with its declared weight"
-                        )
+            # columns j where rho(h) differs from diag(weights[.][i])
+            bad = set()
+            for a, (den, entries) in enumerate(self.sparse[h]):
+                diag = 0
+                for j, x in entries:
+                    if j == a:
+                        diag = Fraction(x, den)
+                    else:
+                        bad.add(j)
+                if diag != self.weights[a][i]:
+                    bad.add(a)
+            if bad:
+                raise RepValidationError(
+                    f"basis vector {min(bad) + 1} is not an eigenvector of "
+                    f"{h} with its declared weight"
+                )
         symbols = basis.symbols
         for i, u in enumerate(symbols):
             for v in symbols[i + 1:]:
                 lhs = self.matrix_of(
                     basis.bracket(basis.element(u), basis.element(v))
                 )
-                rhs = linalg.mat_commutator(self.rho[u], self.rho[v])
+                rhs = linalg.sparse_commutator(self.sparse[u], self.sparse[v], 1)
                 if lhs != rhs:
                     raise RepValidationError(
                         f"bracket compatibility fails on the pair ({u}, {v}): "
@@ -310,8 +328,9 @@ class RepConstruction(Construction):
 
     @staticmethod
     def _check_span(matrices, vectors):
-        """Raise unless every matrix maps the span of the vectors into it."""
-        images = [linalg.mat_vec(mat, v) for mat in matrices for v in vectors]
+        """Raise unless every matrix, given by its sparse rows, maps the
+        span of the vectors into it."""
+        images = [linalg.sparse_vec(mat, v) for mat in matrices for v in vectors]
         if linalg.solve_columns(list(zip(*vectors)), images) is None:
             raise RepValidationError("operator does not preserve the span")
 
@@ -344,9 +363,9 @@ class RepConstruction(Construction):
     def _decompose(self, vectors, raising, lowering):
         """Split the span of the given weight vectors into irreducible
         summands of the subalgebra with these simple raising and lowering
-        operators.  The lowest vectors of each weight space are the
-        combinations its vectors take in the kernel of every lowering
-        operator; raising closes each one into a summand."""
+        operators, given by their sparse rows.  The lowest vectors of each
+        weight space are the combinations its vectors take in the kernel of
+        every lowering operator; raising closes each one into a summand."""
         if not lowering:
             return [[v] for v in vectors]
         by_weight = {}
@@ -358,7 +377,7 @@ class RepConstruction(Construction):
             rows = [
                 list(row)
                 for mat in lowering
-                for row in zip(*(linalg.mat_vec(mat, v) for v in space))
+                for row in zip(*(linalg.sparse_vec(mat, v) for v in space))
             ]
             for combo in linalg.nullspace(rows, ncols=len(space)):
                 v0 = linalg.mat_mul([combo], space)[0]
@@ -375,7 +394,7 @@ class RepConstruction(Construction):
             nxt = []
             for w in frontier:
                 for mat in raising:
-                    img = linalg.mat_vec(mat, w)
+                    img = linalg.sparse_vec(mat, w)
                     if any(img) and linalg.rank(vectors + [img]) > len(vectors):
                         vectors.append(img)
                         nxt.append(img)
@@ -393,8 +412,8 @@ class RepConstruction(Construction):
         if not pos:
             return None
         simples = self._simple_subroots(pos)
-        raising = {a: rep.rho[basis.pos_symbol[a]] for a in pos}
-        lowering = [rep.rho[basis.neg_symbol[a]] for a in simples]
+        raising = {a: rep.sparse[basis.pos_symbol[a]] for a in pos}
+        lowering = [rep.sparse[basis.neg_symbol[a]] for a in simples]
         self._check_span(list(raising.values()) + lowering, vectors)
         summands = self._decompose(
             vectors, [raising[a] for a in simples], lowering
@@ -409,7 +428,7 @@ class RepConstruction(Construction):
         )
         v0 = cand[0]
         # the m-orbit of v0: roots that move it, with their images
-        moved = [(a, linalg.mat_vec(raising[a], v0)) for a in pos]
+        moved = [(a, linalg.sparse_vec(raising[a], v0)) for a in pos]
         moved = [(a, img) for a, img in moved if any(img)]
         m_roots = [a for a, _ in moved]
         rest = [a for a in pos if a not in m_roots]
@@ -419,7 +438,7 @@ class RepConstruction(Construction):
         # summand decomposition; the chosen summand's pieces come first
         levi_simples = self._simple_subroots(rest)
         l_pos = [raising[a] for a in levi_simples]
-        l_neg = [rep.rho[basis.neg_symbol[a]] for a in levi_simples]
+        l_neg = [rep.sparse[basis.neg_symbol[a]] for a in levi_simples]
         self._check_span(l_neg, vectors)
         new_vectors = [v0] + [img for _, img in moved]
         k = len(m_roots)
@@ -472,13 +491,11 @@ class RepConstruction(Construction):
     def _ambient_derivation(self, root):
         rep = self.rep
         sym = rep.basis.pos_symbol[root]
-        mat = rep.rho[sym]
         images = {}
-        for i, v in enumerate(rep.variables):
+        for v, (den, entries) in zip(rep.variables, rep.sparse[sym]):
             images[v] = Poly.linear(
                 rep.variables,
-                {rep.variables[j]: -mat[i][j] for j in range(rep.dim)
-                 if mat[i][j]},
+                {rep.variables[j]: Fraction(-x, den) for j, x in entries},
             )
         return Derivation(self.dset, images, label=f"D_{sym}")
 

@@ -1,17 +1,27 @@
-"""Exact linear algebra over rationals.
+"""Exact linear algebra over the rationals.
 
-Small dense routines (rref, rank, nullspace, solve, solve_columns) on
-lists of lists of Fraction.  Deterministic pivoting: first nonzero entry in
-column order, so every result is canonical for a given input.
+A matrix is a list or tuple of rows whose entries are ints or Fractions;
+every returned entry is a Fraction.  rref, rank, nullspace, solve_columns
+and mat_inv read from one Gauss-Jordan elimination over the integers: each
+row is scaled by the lcm of its denominators, and each updated row is
+divided by its content, so the elimination does no Fraction arithmetic.
+Fractions are built only for the entries a caller reads.  Pivoting takes
+the first nonzero entry in column order; the reduced row echelon form is
+unique, so every result is canonical for a given input.
+
+An operator applied many times is kept as sparse rows: each row is
+(d, ((j, n_j), ...)), its nonzero entries n_j / d in column order with d
+the lcm of their denominators.  The form is canonical, so two sparse
+matrices are equal exactly when their rows compare equal.  mat_mul and
+mat_vec work through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+_ZERO = Fraction(0)
 
 
 def read_rational(value):
@@ -29,39 +39,67 @@ def read_rational(value):
     raise ValueError(f"not an integer, p/q or decimal: {text!r}")
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (matrix, pivot_columns)."""
-    m = frac_matrix(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+def frac_matrix(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _int_row(row):
+    """(d, integer row) with d the lcm of the row's denominators, so that
+    the row is the integer row over d."""
+    den = lcm(*[x.denominator for x in row])
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _echelon(rows, full=True):
+    """Fraction-free elimination.
+
+    Returns (m, pivots): m holds the rows as integer rows, the row with
+    its pivot at column pivots[r] in place r, and the rows past the rank
+    zero.  With full, every pivot column is zero outside its pivot row, so
+    m[r][j] / m[r][pivots[r]] is the reduced row echelon form; without it
+    only the rows below a pivot are cleared.
+    """
+    m = [_int_row(row)[1] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
+        for p in range(r, nrows):
+            if m[p][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        a = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            b = m[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                a1, b1 = a // g, b // g
+                row = [a1 * x - b1 * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
+def rref(rows):
+    """Reduced row echelon form.  Returns (matrix, pivot_columns)."""
+    m, pivots = _echelon(rows)
+    out = [
+        [Fraction(x, row[c]) if x else _ZERO for x in row]
+        for row, c in zip(m, pivots)
+    ]
+    out += [[_ZERO] * len(row) for row in m[len(pivots):]]
+    return out, pivots
+
+
 def rank(rows):
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_echelon(rows, full=False)[1])
 
 
 def nullspace(rows, ncols=None):
@@ -72,22 +110,18 @@ def nullspace(rows, ncols=None):
     if not rows:
         if ncols is None:
             return []
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
+        return identity(ncols)
     ncols = len(rows[0])
-    m, pivots = rref(rows)
+    m, pivots = _echelon(rows)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = [_ZERO] * ncols
         v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][j]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[j], row[pc]) if row[j] else _ZERO
         basis.append(v)
     return basis
 
@@ -100,76 +134,129 @@ def solve(rows, rhs):
 
 def solve_columns(rows, columns):
     """One solution x_k of A x_k = b_k for each right-hand side b_k, from a
-    single rref of [A | b_1 ... b_m]; None if any b_k is inconsistent."""
+    single elimination of [A | b_1 ... b_m]; None if any b_k is
+    inconsistent."""
     if not rows:
         if all(x == 0 for b in columns for x in b):
             return [[] for _ in columns]
         return None
     ncols = len(rows[0])
     aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(rows)]
-    m, pivots = rref(aug)
+    m, pivots = _echelon(aug)
     if pivots and pivots[-1] >= ncols:
         return None
     sols = []
     for k in range(ncols, ncols + len(columns)):
-        x = [Fraction(0)] * ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][k]
+        x = [_ZERO] * ncols
+        for row, pc in zip(m, pivots):
+            x[pc] = Fraction(row[k], row[pc]) if row[k] else _ZERO
         sols.append(x)
     return sols
-
-
-def mat_mul(a, b):
-    """Matrix product; zero entries of a and of b are skipped."""
-    ncols = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * ncols
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def mat_commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_vec(a, v):
-    """Matrix-vector product; zero entries of a are skipped."""
-    return [sum((x * y for x, y in zip(row, v) if x), Fraction(0)) for row in a]
-
-
-def identity(n):
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-
-
-def zero_matrix(n):
-    return [[Fraction(0)] * n for _ in range(n)]
 
 
 def mat_inv(rows):
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(rows)
-    aug = [list(map(Fraction, row)) + identity(n)[i] for i, row in enumerate(rows)]
-    m, pivots = rref(aug)
+    aug = []
+    for i, row in enumerate(rows):
+        unit = [0] * n
+        unit[i] = 1
+        aug.append(list(row) + unit)
+    m, pivots = _echelon(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
+    return [
+        [Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
+        for i, row in enumerate(m)
+    ]
+
+
+def identity(n):
+    return [
+        [Fraction(1) if i == j else _ZERO for j in range(n)] for i in range(n)
+    ]
+
+
+def zero_matrix(n):
+    return [[_ZERO] * n for _ in range(n)]
+
+
+# -- sparse rows ---------------------------------------------------------------
+
+
+def sparse_rows(rows):
+    """The sparse rows of a matrix, as a tuple."""
+    out = []
+    for row in rows:
+        den, ints = _int_row(row)
+        out.append((den, tuple((j, x) for j, x in enumerate(ints) if x)))
+    return tuple(out)
+
+
+def dense_rows(srows, ncols):
+    """The matrix with these sparse rows, as a tuple of Fraction tuples."""
+    out = []
+    for den, entries in srows:
+        row = [_ZERO] * ncols
+        for j, x in entries:
+            row[j] = Fraction(x, den)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _combine(terms):
+    """The sparse row sum of n / d * row over the (n, d, row) in terms."""
+    den = lcm(*[d * row[0] for _, d, row in terms])
+    acc = {}
+    for n, d, (rd, entries) in terms:
+        f = n * (den // (d * rd))
+        for j, x in entries:
+            acc[j] = acc.get(j, 0) + f * x
+    g = gcd(den, *acc.values())
+    return den // g, tuple(sorted((j, x // g) for j, x in acc.items() if x))
+
+
+def sparse_vec(srows, v):
+    """The vector a v, for the sparse rows of a; zero entries of a are
+    skipped."""
+    dv, w = _int_row(v)
+    out = []
+    for den, entries in srows:
+        n = sum(x * w[j] for j, x in entries)
+        out.append(Fraction(n, den * dv) if n else _ZERO)
+    return out
+
+
+def sparse_mul(a, b):
+    """The sparse rows of a b, from the sparse rows of a and of b."""
+    return tuple(
+        _combine([(x, den, b[j]) for j, x in entries]) for den, entries in a
+    )
+
+
+def sparse_combination(terms, nrows):
+    """The sparse rows of the sum of c * m over the (c, m) in terms, each m
+    sparse rows of nrows rows and each c an int or a Fraction."""
+    terms = [(c.numerator, c.denominator, m) for c, m in terms if c]
+    return tuple(
+        _combine([(n, d, m[i]) for n, d, m in terms]) for i in range(nrows)
+    )
+
+
+def sparse_commutator(a, b, c):
+    """The sparse rows of c (a b - b a), for sparse a and b."""
+    return sparse_combination(
+        [(c, sparse_mul(a, b)), (-c, sparse_mul(b, a))], len(a)
+    )
+
+
+def mat_vec(a, v):
+    """Matrix-vector product; zero entries of a are skipped."""
+    return sparse_vec(sparse_rows(a), v)
+
+
+def mat_mul(a, b):
+    """Matrix product; zero entries of a and of b are skipped."""
+    ncols = len(b[0]) if b else 0
+    srows = sparse_mul(sparse_rows(a), sparse_rows(b))
+    return [list(row) for row in dense_rows(srows, ncols)]

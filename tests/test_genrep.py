@@ -39,6 +39,23 @@ def direct_sum(rep1, rep2):
     return RepInput(b, n1 + n2, mats, list(rep1.weights) + list(rep2.weights))
 
 
+class CorruptedRep(RepInput):
+    """A copy of a validated rep whose operator `sym` has 1 added to its
+    entry (i, j) after validation; the rep's own mappings are read-only."""
+
+    def __init__(self, rep, sym, i, j):
+        self._corruption = (sym, i, j)
+        super().__init__(rep.basis, rep.dim, generator_matrices(rep), rep.weights)
+
+    def validate(self):
+        super().validate()
+        sym, i, j = self._corruption
+        m = [list(row) for row in self.rho[sym]]
+        m[i][j] += 1
+        self.rho = {**self.rho, sym: m}
+        self.sparse = {**self.sparse, sym: linalg.sparse_rows(m)}
+
+
 def test_sl2_defining_single_generator(basis_of):
     rep = defining_rep(basis_of("A", 1))
     c = RepConstruction(rep)
@@ -299,7 +316,113 @@ def test_construction_checks_reject_a_corrupted_operator(
     # one entry changed after validation reaches each runtime check of
     # the peeling
     b = basis_of("A", 2)
-    rep = direct_sum(defining_rep(b), defining_rep(b))
-    rep.rho[sym][i][j] += 1
+    rep = CorruptedRep(direct_sum(defining_rep(b), defining_rep(b)), sym, i, j)
     with pytest.raises(RepValidationError, match=message):
         RepConstruction(rep)
+
+
+def test_validated_operators_are_read_only(basis_of):
+    rep = adjoint_rep(basis_of("A", 2))
+    with pytest.raises(TypeError):
+        rep.rho["E_01"][1][6] += 1
+    with pytest.raises(TypeError):
+        rep.rho["E_01"] = rep.rho["F_01"]
+    with pytest.raises(TypeError):
+        rep.sparse["E_01"] = rep.sparse["F_01"]
+
+
+def dense_mul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def dense_commutator(a, b):
+    return [
+        [x - y for x, y in zip(r1, r2)]
+        for r1, r2 in zip(dense_mul(a, b), dense_mul(b, a))
+    ]
+
+
+def dense_check_failure(basis, dim, given, weights):
+    """The message of the first failing defining relation, from dense
+    Fraction matrices closed under brackets, or None when all hold."""
+    rs = basis.rs
+    rho = {s: [[Fraction(x) for x in row] for row in m] for s, m in given.items()}
+    for root in sorted(rs.positive_roots, key=lambda r: (rs.height(r), r)):
+        if root in rs.simple_roots:
+            continue
+        simple = next(
+            a for a in rs.simple_roots
+            if tuple(x - y for x, y in zip(root, a)) in rs.positive_roots
+        )
+        rest = tuple(x - y for x, y in zip(root, simple))
+        for sym_of, sign in ((basis.pos_symbol, 1), (basis.neg_symbol, -1)):
+            n = basis.structure_constant(
+                tuple(sign * c for c in simple), tuple(sign * c for c in rest)
+            )
+            c = dense_commutator(rho[sym_of[simple]], rho[sym_of[rest]])
+            rho[sym_of[root]] = [[x / n for x in row] for row in c]
+    for i, h in enumerate(basis.cartan_symbols):
+        for j in range(dim):
+            for a in range(dim):
+                if rho[h][a][j] != (weights[j][i] if a == j else 0):
+                    return (
+                        f"basis vector {j + 1} is not an eigenvector of "
+                        f"{h} with its declared weight"
+                    )
+    symbols = basis.symbols
+    for i, u in enumerate(symbols):
+        for v in symbols[i + 1:]:
+            lhs = [[Fraction(0)] * dim for _ in range(dim)]
+            uv = basis.bracket(basis.element(u), basis.element(v))
+            for sym, c in uv.coefficients:
+                lhs = [
+                    [x + c * y for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(lhs, rho[sym])
+                ]
+            if lhs != dense_commutator(rho[u], rho[v]):
+                return (
+                    f"bracket compatibility fails on the pair ({u}, {v}): "
+                    "rho([x,y]) != [rho(x), rho(y)]"
+                )
+    return None
+
+
+@pytest.mark.parametrize(
+    "name,series,rank", [("adj", "B", 2), ("def+adj", "A", 2)]
+)
+def test_bracket_check_matches_dense_reference(basis_of, name, series, rank):
+    # seeded single-entry corruptions of the given matrices: load_rep names
+    # the same first failure as the dense check
+    rep = _pinned_rep(basis_of, name, series, rank)
+    given = generator_matrices(rep)
+    rng = random.Random(f"{name}-{series}{rank}")
+    messages = set()
+    for _ in range(16):
+        sym = rng.choice(sorted(given))
+        i, j = rng.randrange(rep.dim), rng.randrange(rep.dim)
+        m = [list(row) for row in given[sym]]
+        m[i][j] += rng.choice([1, -1, 2, Fraction(1, 2)])
+        mats = {**given, sym: m}
+        want = dense_check_failure(rep.basis, rep.dim, mats, rep.weights)
+        data = {
+            "type": series,
+            "rank": rank,
+            "dim": rep.dim,
+            "matrices": {
+                s: [[str(c) for c in row] for row in mm] for s, mm in mats.items()
+            },
+            "weights": [[str(w) for w in wt] for wt in rep.weights],
+        }
+        if want is None:
+            load_rep(data)
+            continue
+        with pytest.raises(RepValidationError) as err:
+            load_rep(data)
+        assert str(err.value) == want
+        messages.add(want.split(":")[0])
+    # both the eigenvector check and the bracket check were reached
+    assert any("eigenvector" in m for m in messages)
+    assert any("pair" in m for m in messages)

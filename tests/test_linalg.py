@@ -10,6 +10,119 @@ def frac_rows(rows):
     return [[Fraction(x) for x in r] for r in rows]
 
 
+# -- reference: dense Gauss-Jordan over Fraction ------------------------------
+
+
+def ref_rref(rows):
+    m = frac_rows(rows)
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def ref_nullspace(rows, ncols):
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+    ncols = len(rows[0])
+    m, pivots = ref_rref(rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][j]
+        basis.append(v)
+    return basis
+
+
+def ref_solve_columns(rows, columns):
+    if not rows:
+        if all(x == 0 for b in columns for x in b):
+            return [[] for _ in columns]
+        return None
+    ncols = len(rows[0])
+    aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(rows)]
+    m, pivots = ref_rref(aug)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    sols = []
+    for k in range(ncols, ncols + len(columns)):
+        x = [Fraction(0)] * ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = m[r][k]
+        sols.append(x)
+    return sols
+
+
+def ref_mat_inv(rows):
+    n = len(rows)
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m, pivots = ref_rref([list(row) + unit[i] for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in m]
+
+
+def ref_mat_vec(a, v):
+    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def all_fractions(value):
+    """Every number nested in value is a Fraction."""
+    if isinstance(value, (list, tuple)):
+        return all(all_fractions(x) for x in value)
+    return type(value) is Fraction
+
+
+def _matrices(st):
+    """Strategy for nrows x ncols rational matrices: int and Fraction
+    entries with small, mixed and large denominators, and up to two rows
+    and two columns zeroed."""
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-4, 4),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.builds(
+            Fraction,
+            st.integers(-(10**30), 10**30),
+            st.integers(1, 10**25),
+        ),
+    )
+
+    @st.composite
+    def matrix(draw, nrows, ncols):
+        rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and ncols:
+            for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+                rows[i] = [0] * ncols
+            for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+                for row in rows:
+                    row[j] = 0
+        return rows
+
+    return matrix
+
+
 def test_rank_frozen_examples():
     assert linalg.rank(frac_rows([[1, 2], [2, 4]])) == 1
     assert linalg.rank(frac_rows([[1, 0], [0, 1]])) == 2
@@ -113,3 +226,77 @@ def test_read_rational_accepts_plain_forms_only():
     for bad in ("1e999999999", "2E3", 1e300, "1/0", "x", None, [1]):
         with pytest.raises(ValueError):
             linalg.read_rational(bad)
+
+
+def test_integer_elimination_matches_fraction_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    matrix = _matrices(st)
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        # empty, 1 x n, wide and tall shapes
+        nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+        a = data.draw(matrix(nrows, ncols))
+        want = ref_rref(a)
+        got = linalg.rref(a)
+        assert got == want and all_fractions(got[0])
+        assert linalg.rank(a) == len(want[1])
+        null = linalg.nullspace(a, ncols=ncols)
+        assert null == ref_nullspace(a, ncols) and all_fractions(null)
+
+        # arbitrary right-hand sides, then one in the column span
+        cols = data.draw(matrix(data.draw(st.integers(0, 3)), nrows))
+        cols.append(ref_mat_vec(a, data.draw(matrix(1, ncols))[0]))
+        sols = linalg.solve_columns(a, cols)
+        assert sols == ref_solve_columns(a, cols)
+        assert all_fractions(sols or [])
+        assert linalg.solve_columns(a, cols[-1:]) is not None
+
+        n = min(nrows, ncols)
+        square = [row[:n] for row in a[:n]]
+        want_inv = ref_mat_inv(square)
+        if want_inv is None:
+            with pytest.raises(ValueError):
+                linalg.mat_inv(square)
+        else:
+            inv = linalg.mat_inv(square)
+            assert inv == want_inv and all_fractions(inv)
+
+        b = data.draw(matrix(ncols, data.draw(st.integers(1, 6))))
+        prod = linalg.mat_mul(a, b)
+        assert prod == dense_mat_mul(a, b) and all_fractions(prod)
+        v = data.draw(matrix(1, ncols))[0]
+        img = linalg.mat_vec(a, v)
+        assert img == ref_mat_vec(a, v) and all_fractions(img)
+
+    check()
+
+
+def test_empty_inputs_match_fraction_reference():
+    assert linalg.rref([]) == ref_rref([]) == ([], [])
+    assert linalg.rank([]) == 0
+    assert linalg.nullspace([], ncols=3) == ref_nullspace([], 3)
+    assert all_fractions(linalg.nullspace([], ncols=3))
+    assert linalg.nullspace([]) == []
+    assert linalg.solve_columns([], [[], []]) == [[], []]
+    assert linalg.solve_columns([], [[1]]) is None
+    assert linalg.mat_inv([]) == ref_mat_inv([]) == []
+    assert linalg.mat_mul([], [[1, 2]]) == []
+    assert linalg.mat_mul([[]], []) == [[]]
+    assert linalg.mat_vec([], [1, 2]) == []
+    assert linalg.mat_vec([[1, 2]], [0, 0]) == [0]
+    assert all_fractions(linalg.mat_vec([[1, 2]], [0, 0]))
+
+
+def test_sparse_rows_are_canonical():
+    m = [[Fraction(1, 2), 0, Fraction(-3, 4)], [0, 0, 0], [2, 4, 6]]
+    rows = linalg.sparse_rows(m)
+    assert rows == ((4, ((0, 2), (2, -3))), (1, ()), (1, ((0, 2), (1, 4), (2, 6))))
+    assert linalg.dense_rows(rows, 3) == tuple(tuple(frac_rows(m)[i]) for i in range(3))
+    # a combination that cancels to the same matrix compares equal
+    twice = linalg.sparse_combination([(3, rows), (Fraction(-2), rows)], 3)
+    assert twice == rows
+    assert linalg.sparse_combination([], 2) == ((1, ()), (1, ()))
+    assert linalg.sparse_mul(rows, rows) == linalg.sparse_rows(dense_mat_mul(m, m))
