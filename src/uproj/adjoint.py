@@ -11,24 +11,23 @@ lifted cascade root vectors form the invariant denominator chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .liealg import LieElement
 from .projector import Derivation, Projector, SlicePair, apply_stages
 from .rootsystem import kostant_cascade
-from .symfield import DenominatorSet, LocElem, Poly
+from .symfield import DenominatorSet, LocElem
 from .genset import Construction
 
 
-@dataclass
 class LevelData:
     """What a cascade level contributes to the projector; the level's
     roots are in the matching CascadeLevel."""
 
-    denominator: object  # lifted center element, a LocElem
-    stages: list  # [(Derivation, SlicePair)] for this level, xi first
+    def __init__(self, denominator, stages):
+        self.denominator = denominator  # lifted center element, a LocElem
+        self.stages = stages  # [(Derivation, SlicePair)] of the level, xi first
 
 
 class AdjointConstruction(Construction):
@@ -211,41 +210,3 @@ class AdjointConstruction(Construction):
 
     def simple_derivations(self):
         return [self._plain_derivation(a) for a in self.basis.rs.simple_roots]
-
-
-def killing_form(basis):
-    """Exact Killing form matrix over the Chevalley basis symbols."""
-    symbols = basis.symbols
-    n = len(symbols)
-    ad = []
-    for s in symbols:
-        x = basis.element(s)
-        mat = []
-        for t in symbols:
-            img = basis.bracket(x, basis.element(t))
-            d = img.as_dict()
-            mat.append([d.get(u, Fraction(0)) for u in symbols])
-        # mat[j][i] = coefficient of symbol_i in [x, symbol_j]
-        ad.append([[mat[j][i] for j in range(n)] for i in range(n)])
-    kappa = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = linalg.mat_mul(ad[i], ad[j])
-            tr = sum((prod[k][k] for k in range(n)), Fraction(0))
-            kappa[i][j] = kappa[j][i] = tr
-    return kappa
-
-
-def casimir_element(basis, dset):
-    """Degree-2 invariant built from the inverse Killing form."""
-    kappa = killing_form(basis)
-    inv = linalg.mat_inv(kappa)
-    symbols = basis.symbols
-    poly = Poly(symbols)
-    for i, u in enumerate(symbols):
-        for j, v in enumerate(symbols):
-            if inv[i][j]:
-                poly = poly + (
-                    Poly.variable(symbols, u) * Poly.variable(symbols, v) * inv[i][j]
-                )
-    return LocElem(dset, poly)

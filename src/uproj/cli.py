@@ -99,11 +99,22 @@ def _rep(args):
 
 
 BUILDERS = {"adjoint": _adjoint, "conj": _conj, "rep": _rep}
+# the options each pipeline reads, besides --seed and --format
+PIPELINE_OPTIONS = {"adjoint": ("type", "rank"), "conj": ("n",), "rep": ("file",)}
+
+
+def _reject_unread(args, kind, names):
+    """Raise InvalidDynkinDatum on the first of the options `names` that is
+    given but not read by the pipeline `kind`."""
+    for name in names:
+        if getattr(args, name) is not None and name not in PIPELINE_OPTIONS[kind]:
+            raise InvalidDynkinDatum(f"{kind} does not read --{name}")
 
 
 def cmd_generators(args):
     t0 = time.monotonic()
     try:
+        _reject_unread(args, args.kind, ("type", "rank", "n", "file"))
         gs = BUILDERS[args.kind](args).generator_set(seed=args.seed)
     except (InvalidDynkinDatum, RepValidationError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -114,7 +125,9 @@ def cmd_generators(args):
 def _verify_universe(args):
     if args.n is None and (args.type is None or args.rank is None):
         raise InvalidDynkinDatum("--type and --rank (or --n) are required")
-    c = BUILDERS["conj" if args.n is not None else "adjoint"](args)
+    kind = "conj" if args.n is not None else "adjoint"
+    _reject_unread(args, kind, ("type", "rank"))
+    c = BUILDERS[kind](args)
     return c.dset, c.simple_derivations()
 
 
@@ -130,7 +143,7 @@ def cmd_verify(args):
         try:
             with open(args.file) as fh:
                 sources = [ln.strip() for ln in fh if ln.strip()]
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_INVALID
     else:

@@ -33,7 +33,6 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -281,16 +280,17 @@ def adjoint_rep(basis):
     return RepInput(basis, n, matrices, weights)
 
 
-@dataclass
 class StageData:
     """One peeling step: the chosen lowest vector and everything derived
     from it."""
 
-    index: int
-    lowest_form: object  # ambient linear Poly, dual to v0 in the new basis
-    m_roots: list  # ordered nilradical roots
-    denominator: object  # transported lowest form, a LocElem
-    stages: list  # [(Derivation, SlicePair)] in application order
+    def __init__(self, index, lowest_form, m_roots, denominator, stages):
+        self.index = index
+        # ambient linear Poly, dual to v0 in the new basis
+        self.lowest_form = lowest_form
+        self.m_roots = m_roots  # ordered nilradical roots
+        self.denominator = denominator  # transported lowest form, a LocElem
+        self.stages = stages  # [(Derivation, SlicePair)] in application order
 
 
 class RepConstruction(Construction):

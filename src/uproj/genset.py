@@ -4,19 +4,18 @@ protocol of the three pipelines."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .projector import jacobian_rank, sample_regular_point, verify_invariance
 
 
-@dataclass
 class GeneratorSet:
     """Ordered named generators of an invariant field, plus metadata."""
 
-    entries: list  # list of (name, LocElem)
-    dset: object  # DenominatorSet
-    metadata: dict = field(default_factory=dict)
-    report: dict = field(default_factory=lambda: {"checks": []})
+    def __init__(self, entries, dset, metadata=None, report=None):
+        self.entries = entries  # list of (name, LocElem)
+        self.dset = dset  # DenominatorSet
+        self.metadata = {} if metadata is None else metadata
+        self.report = {"checks": []} if report is None else report
 
     @property
     def elements(self):

@@ -13,7 +13,6 @@ last a rows and columns {1, ..., a-1, b}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -133,12 +132,12 @@ def matrix_elements(n):
     return {"d": d, "d_beta": d_beta, "c_beta": c_beta, "nu": nu}
 
 
-@dataclass
 class ConjStage:
-    pair: tuple  # (a, b)
-    nu: int
-    derivation: object
-    slice_pair: object
+    def __init__(self, pair, nu, derivation, slice_pair):
+        self.pair = pair  # (a, b)
+        self.nu = nu
+        self.derivation = derivation
+        self.slice_pair = slice_pair
 
 
 class ConjugationConstruction(Construction):

@@ -13,9 +13,9 @@ verified there on every triple whose weights sum to a root or to 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .rootsystem import ValueRecord
 from .symfield import Poly
 
 
@@ -27,12 +27,16 @@ def root_suffix(coeffs):
     return "".join(str(c) for c in coeffs)
 
 
-@dataclass(frozen=True)
-class LieElement:
+class LieElement(ValueRecord):
     """Finite-support coefficient vector over the Chevalley basis symbols."""
 
-    basis: "ChevalleyBasis"
-    coefficients: tuple  # sorted tuple of (symbol, Fraction)
+    _fields = ("basis", "coefficients")
+
+    def __init__(self, basis, coefficients):
+        vars(self).update(
+            basis=basis,  # ChevalleyBasis
+            coefficients=coefficients,  # sorted tuple of (symbol, Fraction)
+        )
 
     @classmethod
     def make(cls, basis, coeff_map):

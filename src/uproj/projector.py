@@ -1,13 +1,12 @@
 """Locally nilpotent derivation engine.
 
 S-maps, composed projectors, the projector at a point, invariance
-verification and the cross-section checks.  Everything here is exact;
+verification and the Jacobian rank.  Everything here is exact;
 local nilpotency is a runtime contract enforced by an iteration cap.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 
@@ -338,71 +337,3 @@ def jacobian_rank(dset, elements, point):
             scale /= gval**e
         rows.append([r * scale for r in row])
     return linalg.rank(rows)
-
-
-def cross_section_check(projector, candidates, trials=10, seed=0):
-    """Sampled necessary conditions for free generation.
-
-    (i) P acts as the identity at the cross-section points pi(x), for
-    random regular points x (a trial whose pi(x) meets a vanishing
-    denominator is skipped); (ii) the Jacobian of the projected candidates
-    together with the denominator generators has full rank at a random
-    regular point.  The ideal-generation hypothesis is not decidable here;
-    checks are reported as necessary conditions only.
-    """
-    rng = random.Random(seed)
-    dset = projector.dset
-    checks = []
-
-    projected = [projector.apply(b) for b in candidates]
-
-    for t in range(trials):
-        try:
-            point = projector.image_point(sample_regular_point(dset, rng))
-        except SingularPointError:
-            continue
-        for b, pb in zip(candidates, projected):
-            try:
-                lhs = pb.evaluate(point)
-                rhs = b.evaluate(point)
-            except SingularPointError:
-                continue
-            ok = lhs == rhs
-            checks.append(
-                {
-                    "name": f"res_identity:trial{t}",
-                    "status": "pass" if ok else "fail",
-                    **({} if ok else {"residue": str(lhs - rhs)}),
-                }
-            )
-            if not ok:
-                break
-
-    if not candidates:
-        checks.append(
-            {"name": "jacobian_rank", "status": "pass", "rank": 0, "expected": 0}
-        )
-    else:
-        elems = list(projected)
-        for g in dset.gens:
-            cand = LocElem(dset, g)
-            if not any(cand == e for e in elems):
-                elems.append(cand)
-        point = sample_regular_point(dset, rng)
-        r = jacobian_rank(dset, elems, point)
-        checks.append(
-            {
-                "name": "jacobian_rank",
-                "status": "pass" if r == len(elems) else "fail",
-                "rank": r,
-                "expected": len(elems),
-            }
-        )
-    checks.append(
-        {
-            "name": "ideal_generation_hypothesis",
-            "status": "inconclusive",
-            "detail": "necessary conditions only; not decided symbolically",
-        }
-    )
-    return {"checks": checks}

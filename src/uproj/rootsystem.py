@@ -13,7 +13,6 @@ orthogonal complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,6 +21,35 @@ from . import linalg
 
 class InvalidDynkinDatum(ValueError):
     """The (series, rank) pair does not name a finite irreducible system."""
+
+
+class ValueRecord:
+    """Base of the immutable value records.
+
+    A subclass names its fields, in order, in `_fields` and stores them
+    once in `__init__`, straight into the instance dict.  `==` and `hash`
+    run over the fields in order; assigning or deleting any attribute
+    raises AttributeError.
+    """
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _ROOT_COUNTS = {
@@ -104,19 +132,23 @@ def _reflect(beta, alpha):
     return tuple(b - c * a for b, a in zip(beta, alpha))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(ValueRecord):
     """Immutable typed root datum.
 
     The root set, the simple-root coefficients of every root and the
     ordered positive roots are derived once per instance, on first use.
     """
 
-    series: str
-    rank: int
-    roots: tuple
-    simple_roots: tuple
-    form_scale: Fraction
+    _fields = ("series", "rank", "roots", "simple_roots", "form_scale")
+
+    def __init__(self, series, rank, roots, simple_roots, form_scale):
+        vars(self).update(
+            series=series,  # str
+            rank=rank,  # int
+            roots=roots,  # tuple
+            simple_roots=simple_roots,  # tuple
+            form_scale=form_scale,  # Fraction
+        )
 
     def inner(self, a, b):
         return self.form_scale * _dot(a, b)
@@ -194,22 +226,30 @@ def build_root_system(series, rank):
     return RootSystem(series, rank, tuple(ordered), tuple(simples), scale)
 
 
-@dataclass(frozen=True)
-class CascadeLevel:
+class CascadeLevel(ValueRecord):
     """One step of the cascade inside one irreducible component."""
 
-    index: int  # 1-based
-    delta_pos: tuple  # positive roots of the component Delta_i
-    xi: tuple  # the (unique) highest root of the component
-    gamma: tuple  # roots of Delta_i+ pairing strictly with xi
-    pairing: dict  # alpha -> alpha' on Gamma^0, alpha + alpha' = xi
-    next_pos: tuple  # positive roots of Delta_{i+1}
+    _fields = ("index", "delta_pos", "xi", "gamma", "pairing", "next_pos")
+
+    def __init__(self, index, delta_pos, xi, gamma, pairing, next_pos):
+        vars(self).update(
+            index=index,  # 1-based
+            delta_pos=delta_pos,  # positive roots of the component Delta_i
+            xi=xi,  # the (unique) highest root of the component
+            gamma=gamma,  # roots of Delta_i+ pairing strictly with xi
+            pairing=pairing,  # alpha -> alpha' on Gamma^0, alpha + alpha' = xi
+            next_pos=next_pos,  # positive roots of Delta_{i+1}
+        )
 
 
-@dataclass(frozen=True)
-class Cascade:
-    entries: tuple  # the cascade roots xi_1, ..., xi_m
-    levels: tuple  # CascadeLevel per entry
+class Cascade(ValueRecord):
+    _fields = ("entries", "levels")
+
+    def __init__(self, entries, levels):
+        vars(self).update(
+            entries=entries,  # the cascade roots xi_1, ..., xi_m
+            levels=levels,  # CascadeLevel per entry
+        )
 
     def to_json(self):
         return {

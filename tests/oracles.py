@@ -1,0 +1,120 @@
+"""Test-side oracles: exact checks that only the tests call.
+
+The Killing form and the Casimir element give an independent degree-2
+invariant of the adjoint pipeline; the cross-section check samples
+necessary conditions for free generation at points pi(x) of the
+projector's image.
+"""
+
+import random
+from fractions import Fraction
+
+from uproj import linalg
+from uproj.projector import jacobian_rank, sample_regular_point
+from uproj.symfield import LocElem, Poly, SingularPointError
+
+
+def killing_form(basis):
+    """Exact Killing form matrix over the Chevalley basis symbols."""
+    symbols = basis.symbols
+    n = len(symbols)
+    ad = []
+    for s in symbols:
+        x = basis.element(s)
+        mat = []
+        for t in symbols:
+            img = basis.bracket(x, basis.element(t))
+            d = img.as_dict()
+            mat.append([d.get(u, Fraction(0)) for u in symbols])
+        # mat[j][i] = coefficient of symbol_i in [x, symbol_j]
+        ad.append([[mat[j][i] for j in range(n)] for i in range(n)])
+    kappa = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            prod = linalg.mat_mul(ad[i], ad[j])
+            tr = sum((prod[k][k] for k in range(n)), Fraction(0))
+            kappa[i][j] = kappa[j][i] = tr
+    return kappa
+
+
+def casimir_element(basis, dset):
+    """Degree-2 invariant built from the inverse Killing form."""
+    kappa = killing_form(basis)
+    inv = linalg.mat_inv(kappa)
+    symbols = basis.symbols
+    poly = Poly(symbols)
+    for i, u in enumerate(symbols):
+        for j, v in enumerate(symbols):
+            if inv[i][j]:
+                poly = poly + (
+                    Poly.variable(symbols, u) * Poly.variable(symbols, v) * inv[i][j]
+                )
+    return LocElem(dset, poly)
+
+
+def cross_section_check(projector, candidates, trials=10, seed=0):
+    """Sampled necessary conditions for free generation.
+
+    (i) P acts as the identity at the cross-section points pi(x), for
+    random regular points x (a trial whose pi(x) meets a vanishing
+    denominator is skipped); (ii) the Jacobian of the projected candidates
+    together with the denominator generators has full rank at a random
+    regular point.  The ideal-generation hypothesis is not decidable here;
+    checks are reported as necessary conditions only.
+    """
+    rng = random.Random(seed)
+    dset = projector.dset
+    checks = []
+
+    projected = [projector.apply(b) for b in candidates]
+
+    for t in range(trials):
+        try:
+            point = projector.image_point(sample_regular_point(dset, rng))
+        except SingularPointError:
+            continue
+        for b, pb in zip(candidates, projected):
+            try:
+                lhs = pb.evaluate(point)
+                rhs = b.evaluate(point)
+            except SingularPointError:
+                continue
+            ok = lhs == rhs
+            checks.append(
+                {
+                    "name": f"res_identity:trial{t}",
+                    "status": "pass" if ok else "fail",
+                    **({} if ok else {"residue": str(lhs - rhs)}),
+                }
+            )
+            if not ok:
+                break
+
+    if not candidates:
+        checks.append(
+            {"name": "jacobian_rank", "status": "pass", "rank": 0, "expected": 0}
+        )
+    else:
+        elems = list(projected)
+        for g in dset.gens:
+            cand = LocElem(dset, g)
+            if not any(cand == e for e in elems):
+                elems.append(cand)
+        point = sample_regular_point(dset, rng)
+        r = jacobian_rank(dset, elems, point)
+        checks.append(
+            {
+                "name": "jacobian_rank",
+                "status": "pass" if r == len(elems) else "fail",
+                "rank": r,
+                "expected": len(elems),
+            }
+        )
+    checks.append(
+        {
+            "name": "ideal_generation_hypothesis",
+            "status": "inconclusive",
+            "detail": "necessary conditions only; not decided symbolically",
+        }
+    )
+    return {"checks": checks}

@@ -14,14 +14,15 @@ from fractions import Fraction
 import pytest
 
 from uproj import linalg
-from uproj.adjoint import AdjointConstruction, casimir_element, killing_form
+from uproj.adjoint import AdjointConstruction
 from uproj.exprparse import parse_expression
 from uproj.genrep import RepConstruction, adjoint_rep, defining_rep
 from uproj.groupconj import ConjugationConstruction, entry_name
-from uproj.projector import cross_section_check, jacobian_rank, sample_regular_point
+from uproj.projector import jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
 
 from conftest import ADJOINT_SYSTEMS, get_adjoint, get_basis
+from oracles import casimir_element, cross_section_check, killing_form
 
 
 def report(number, label, ok):

@@ -176,6 +176,17 @@ def test_generators_seed_picks_jacobian_point(monkeypatch, capsys):
     assert capsys.readouterr().out == seeded
 
 
+def test_generator_sets_get_their_own_default_dicts():
+    first, second = genset.GeneratorSet([], None), genset.GeneratorSet([], None)
+    assert first.metadata == {} and first.report == {"checks": []}
+    first.metadata["type"] = "A"
+    first.report["checks"].append({"name": "x", "status": "pass"})
+    assert second.metadata == {} and second.report == {"checks": []}
+    gs = genset.GeneratorSet(entries=[], dset=None, metadata={"n": 2},
+                             report={"checks": []})
+    assert gs.metadata == {"n": 2} and gs.all_verified()
+
+
 def test_out_of_memory_exits_4(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError
@@ -187,6 +198,8 @@ def test_out_of_memory_exits_4(monkeypatch, capsys):
     assert captured.err == "error: out of memory\n"
 
 
+# stands for the path of the case's input file: rep_data as JSON, or as is
+# when it is bytes
 REP_FILE = "<rep file>"
 
 
@@ -245,6 +258,27 @@ REP_FILE = "<rep file>"
           "--expr", "E_1^16384*F_1^16384"), None, "bound 32767"),
         (("eval", "--type", "A", "--rank", "1", "--expr", "H1^32768",
           "--point", '{"H1": "1"}'), None, "bound 32767"),
+        (("verify", "--type", "A", "--rank", "1", "--file", REP_FILE),
+         b"E_1\n\xff\xfe\n", "codec can't decode"),
+        (("generators", "rep", "--file", REP_FILE), b"\xff\xfe",
+         "codec can't decode"),
+        # options the chosen pipeline does not read
+        (("generators", "adjoint", "--type", "A", "--rank", "1", "--n", "3",
+          "--file", "nope.json"), None, "adjoint does not read --n"),
+        (("generators", "adjoint", "--type", "A", "--rank", "1",
+          "--file", REP_FILE), SL2_REP, "adjoint does not read --file"),
+        (("generators", "conj", "--n", "2", "--type", "A"), None,
+         "conj does not read --type"),
+        (("generators", "conj", "--n", "2", "--rank", "1"), None,
+         "conj does not read --rank"),
+        (("generators", "rep", "--file", REP_FILE, "--rank", "1"), SL2_REP,
+         "rep does not read --rank"),
+        (("generators", "rep", "--file", REP_FILE, "--n", "2"), SL2_REP,
+         "rep does not read --n"),
+        (("eval", "--n", "2", "--type", "B", "--rank", "2", "--expr", "s_1_1",
+          "--point", '{"s_1_1": "1"}'), None, "conj does not read --type"),
+        (("verify", "--n", "2", "--rank", "2", "--expr", "s_1_1"), None,
+         "conj does not read --rank"),
     ],
     ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
@@ -252,11 +286,17 @@ REP_FILE = "<rep file>"
          "verify-deep-nesting", "eval-deep-nesting", "point-exponent",
          "rep-exponent", "point-missing-variable",
          "point-missing-denominator-variable", "verify-degree-bound",
-         "verify-product-degree-bound", "eval-degree-bound"],
+         "verify-product-degree-bound", "eval-degree-bound",
+         "verify-file-not-utf8", "rep-file-not-utf8", "adjoint-n",
+         "adjoint-file", "conj-type", "conj-rank", "rep-rank", "rep-n",
+         "eval-n-type", "verify-n-rank"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"
-    f.write_text(json.dumps(rep_data))
+    if isinstance(rep_data, bytes):
+        f.write_bytes(rep_data)
+    else:
+        f.write_text(json.dumps(rep_data))
     r = run_cli(*(str(f) if a == REP_FILE else a for a in argv), timeout=60)
     assert r.returncode == 2
     assert message in r.stderr

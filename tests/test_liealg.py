@@ -173,6 +173,19 @@ def test_jacobi_on_random_elements(basis_of):
         assert s.is_zero()
 
 
+def test_lie_elements_are_frozen_values(basis_of):
+    b = basis_of("A", 2)
+    x = LieElement.make(b, {"E_10": 2, "H1": Fraction(1, 3), "F_01": 0})
+    y = LieElement.make(b, {"H1": Fraction(2, 6), "E_10": Fraction(2)})
+    assert x is not y
+    assert x == y and hash(x) == hash(y)
+    assert x != y.scale(2)
+    assert x != LieElement.make(basis_of("B", 2), x.as_dict())
+    assert x.__eq__(x.coefficients) is NotImplemented
+    with pytest.raises(AttributeError):
+        x.coefficients = ()
+
+
 def test_cartan_acts_by_root_values(basis_of):
     b = basis_of("G", 2)
     rs = b.rs

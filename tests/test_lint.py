@@ -1,6 +1,8 @@
 """Source checks over the library modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uproj"
@@ -40,6 +42,21 @@ def test_modules_import_at_top_level_only():
                 )
     assert not found, f"import inside a function at {found}"
 
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every uproj process pays for its imports before any work: dataclasses
+    # alone pulls in inspect, ast, dis and tokenize, and compiles the
+    # methods of each decorated class through exec
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import uproj.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def _referenced_name(node):

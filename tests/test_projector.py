@@ -15,7 +15,6 @@ from uproj.projector import (
     Projector,
     SlicePair,
     TriangularityError,
-    cross_section_check,
     jacobian_rank,
     sample_regular_point,
     smap,
@@ -30,6 +29,8 @@ from uproj.symfield import (
     SingularPointError,
     UniverseMismatch,
 )
+
+from oracles import cross_section_check
 
 VARS = ("x", "y", "z")
 

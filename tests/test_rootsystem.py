@@ -177,6 +177,27 @@ def test_cascade_json_shape():
     assert data["levels"][0]["index"] == 1
 
 
+def test_root_system_and_cascade_are_frozen_values():
+    rs, again = build_root_system("B", 2), build_root_system("B", 2)
+    assert rs is not again
+    assert rs == again and hash(rs) == hash(again)
+    assert rs != build_root_system("C", 2)
+    assert rs.__eq__(rs.roots) is NotImplemented
+    with pytest.raises(AttributeError):
+        rs.rank = 3
+    with pytest.raises(AttributeError):
+        del rs.series
+    assert rs.rank == 2
+    # the derived data are cached per instance all the same
+    assert rs.positive_roots is rs.positive_roots
+    assert kostant_cascade(rs) == kostant_cascade(rs)
+    assert kostant_cascade(rs) == kostant_cascade(again)
+    assert kostant_cascade(rs) != kostant_cascade(build_root_system("A", 2))
+    lv = kostant_cascade(rs).levels[0]
+    with pytest.raises(AttributeError):
+        lv.xi = ()
+
+
 # sha256 of `uproj cascade --type T --rank R` stdout, recorded before the
 # classical simple roots were built from one shared chain
 CASCADE_STDOUT_SHA256 = {
