@@ -86,10 +86,11 @@ class AdjointConstruction(Construction):
         q_xi = h_xi * Fraction(-1, 2) * e_xi_inv
         stages.append((d_xi, SlicePair(d_xi, q_xi, witness=(h_xi * Fraction(-1, 2), e_xi))))
 
+        partners = dict(lv.pairing)
         for alpha in lv.gamma:
             if alpha == lv.xi:
                 continue
-            partner = lv.pairing[alpha]
+            partner = partners[alpha]
             n = basis.structure_constant(alpha, partner)
             d_alpha = self._plain_derivation(alpha)
             e_partner = lifted[basis.pos_symbol[partner]]

@@ -169,33 +169,37 @@ class SlicePair:
 def smap(derivation, slice_pair, a):
     """Slice exponential: sum_k (-1)^k D^k(a) q^k / k!.
 
+    The series is summed in Horner order.  D^0(a), ..., D^K(a) are
+    computed first and held all at once; then r = D^K(a), and
+    r = D^k(a) - q r / (k + 1) for k = K - 1 down to 0.  Each r is a tail
+    of the series, whose terms have already cancelled, where a forward
+    partial sum carries terms that cancel only at the end.  Both orders
+    give the same reduced element; tests/oracles.py keeps the forward sum
+    as the reference.
+
     Raises NotLocallyNilpotent when D^k(a) is still nonzero past
-    k = 10 deg(a) + 16.
+    k = 10 deg(a) + 16: the cap is the forward sum's, and it fires after
+    the same 10 deg(a) + 17 Derivation.apply calls.
     """
     if isinstance(a, Poly):
         a = LocElem(derivation.dset, a)
     q = slice_pair.q
     iter_cap = 10 * a.total_degree() + 16
-    result = a
-    cur = a
-    qpow = LocElem.const(a.dset, 1)
-    sign = 1
-    fact = 1
-    k = 0
+    powers = [a]
     while True:
-        cur = derivation.apply(cur)
+        cur = derivation.apply(powers[-1])
         if cur.is_zero():
-            return result
-        k += 1
-        if k > iter_cap:
+            break
+        if len(powers) > iter_cap:
             raise NotLocallyNilpotent(
                 f"derivation {derivation.label} not locally nilpotent on input "
                 f"(cap {iter_cap} exceeded)"
             )
-        sign = -sign
-        fact *= k
-        qpow = qpow * q
-        result = result + cur * qpow * Fraction(sign, fact)
+        powers.append(cur)
+    result = powers.pop()
+    for k in range(len(powers), 0, -1):
+        result = powers[k - 1] + result * q * Fraction(-1, k)
+    return result
 
 
 def apply_stages(stages, a):

@@ -153,9 +153,6 @@ class RootSystem(ValueRecord):
     def inner(self, a, b):
         return self.form_scale * _dot(a, b)
 
-    def is_root(self, v):
-        return tuple(v) in self._root_set
-
     @cached_property
     def _root_set(self):
         return frozenset(self.roots)
@@ -237,7 +234,7 @@ class CascadeLevel(ValueRecord):
             delta_pos=delta_pos,  # positive roots of the component Delta_i
             xi=xi,  # the (unique) highest root of the component
             gamma=gamma,  # roots of Delta_i+ pairing strictly with xi
-            pairing=pairing,  # alpha -> alpha' on Gamma^0, alpha + alpha' = xi
+            pairing=pairing,  # sorted (alpha, alpha') on Gamma^0, alpha + alpha' = xi
             next_pos=next_pos,  # positive roots of Delta_{i+1}
         )
 
@@ -260,9 +257,7 @@ class Cascade(ValueRecord):
                     "delta_pos": [list(r) for r in lv.delta_pos],
                     "xi": list(lv.xi),
                     "gamma": [list(r) for r in lv.gamma],
-                    "pairing": [
-                        [list(a), list(b)] for a, b in sorted(lv.pairing.items())
-                    ],
+                    "pairing": [[list(a), list(b)] for a, b in lv.pairing],
                     "next_pos": [list(r) for r in lv.next_pos],
                 }
                 for lv in self.levels
@@ -319,21 +314,21 @@ def kostant_cascade(rs):
             xi = tops[0]
             gamma = tuple(a for a in comp if _dot(a, xi) != 0)
             next_pos = tuple(a for a in comp if _dot(a, xi) == 0)
-            pairing = {}
+            pairing = []
             for a in gamma:
                 if a == xi:
                     continue
                 partner = tuple(x - y for x, y in zip(xi, a))
                 if partner not in set(gamma) or partner == a:
                     raise RuntimeError(f"no pairing partner for {a}")
-                pairing[a] = partner
+                pairing.append((a, partner))
             levels.append(
                 CascadeLevel(
                     index=len(levels) + 1,
                     delta_pos=tuple(comp),
                     xi=xi,
                     gamma=gamma,
-                    pairing=pairing,
+                    pairing=tuple(sorted(pairing)),
                     next_pos=next_pos,
                 )
             )

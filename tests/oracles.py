@@ -3,15 +3,55 @@
 The Killing form and the Casimir element give an independent degree-2
 invariant of the adjoint pipeline; the cross-section check samples
 necessary conditions for free generation at points pi(x) of the
-projector's image.
+projector's image.  `smap_forward` is the slice exponential summed term
+by term, the reference for the Horner-order `projector.smap`, and
+`is_root` is root-set membership.
 """
 
 import random
 from fractions import Fraction
 
 from uproj import linalg
-from uproj.projector import jacobian_rank, sample_regular_point
+from uproj.projector import (
+    NotLocallyNilpotent,
+    jacobian_rank,
+    sample_regular_point,
+)
 from uproj.symfield import LocElem, Poly, SingularPointError
+
+
+def is_root(rs, v):
+    """Whether v is a root of rs, by a scan of its root tuple."""
+    return tuple(v) in rs.roots
+
+
+def smap_forward(derivation, slice_pair, a):
+    """Slice exponential sum_k (-1)^k D^k(a) q^k / k!, added term by term
+    in increasing k, with the iteration cap of projector.smap."""
+    if isinstance(a, Poly):
+        a = LocElem(derivation.dset, a)
+    q = slice_pair.q
+    iter_cap = 10 * a.total_degree() + 16
+    result = a
+    cur = a
+    qpow = LocElem.const(a.dset, 1)
+    sign = 1
+    fact = 1
+    k = 0
+    while True:
+        cur = derivation.apply(cur)
+        if cur.is_zero():
+            return result
+        k += 1
+        if k > iter_cap:
+            raise NotLocallyNilpotent(
+                f"derivation {derivation.label} not locally nilpotent on input "
+                f"(cap {iter_cap} exceeded)"
+            )
+        sign = -sign
+        fact *= k
+        qpow = qpow * q
+        result = result + cur * qpow * Fraction(sign, fact)
 
 
 def killing_form(basis):

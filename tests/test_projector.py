@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from uproj import linalg
 from uproj.adjoint import AdjointConstruction
 from uproj.genrep import RepConstruction, load_rep
 from uproj.groupconj import ConjugationConstruction
+from uproj.liealg import chevalley_constants
 from uproj.projector import (
     Derivation,
     NotLocallyNilpotent,
@@ -20,6 +22,7 @@ from uproj.projector import (
     smap,
     verify_invariance,
 )
+from uproj.rootsystem import build_root_system
 from uproj.symfield import (
     MAX_DEGREE,
     DegreeBoundError,
@@ -30,7 +33,9 @@ from uproj.symfield import (
     UniverseMismatch,
 )
 
-from oracles import cross_section_check
+from conftest import get_adjoint
+from oracles import cross_section_check, smap_forward
+from test_acceptance import rand_poly as criterion_poly
 
 VARS = ("x", "y", "z")
 
@@ -110,6 +115,80 @@ def test_not_locally_nilpotent_raises_at_the_cap():
     for project in (lambda a: smap(d, sp, a), p.apply):
         with pytest.raises(NotLocallyNilpotent, match=r"d/dx \+ y d/dy"):
             project(y)
+    # deg(y) = 1 gives the cap 26: D^26(y) is still accepted and the
+    # 27th application, the first past the cap, raises
+    apply = d.apply
+    calls = []
+    d.apply = lambda a: calls.append(a) or apply(a)
+    message = "derivation d/dx + y d/dy not locally nilpotent on input (cap 26 exceeded)"
+    for series in (smap, smap_forward):
+        calls.clear()
+        with pytest.raises(NotLocallyNilpotent) as err:
+            series(d, sp, y)
+        assert str(err.value) == message
+        assert len(calls) == 10 * y.total_degree() + 16 + 1 == 27
+
+
+# -- Horner order against the forward series -------------------------------
+
+
+def json_bytes(e):
+    return json.dumps(e.to_json(), sort_keys=True)
+
+
+def assert_same_as_forward(projector, a):
+    """Each stage's smap, and Projector.apply, against the stages summed
+    by smap_forward; the reduced normal forms must serialise to the same
+    bytes."""
+    expected = a
+    for d, s in projector.stages:
+        got = smap(d, s, expected)
+        expected = smap_forward(d, s, expected)
+        assert json_bytes(got) == json_bytes(expected), d.label
+    assert json_bytes(projector.apply(a)) == json_bytes(expected)
+
+
+@pytest.mark.parametrize("series,rank,pairs", [("A", 2, 12), ("B", 2, 10), ("G", 2, 4)])
+def test_smap_matches_forward_series_on_criterion_05_pairs(series, rank, pairs):
+    c = get_adjoint(series, rank)
+    rng = random.Random(0)
+    for _ in range(pairs):
+        a = LocElem(c.dset, criterion_poly(rng, c.dset.vars))
+        b = LocElem(c.dset, criterion_poly(rng, c.dset.vars))
+        for e in (a, b, a * b):
+            assert_same_as_forward(c.projector, e)
+
+
+def test_smap_matches_forward_series_on_conj_minors():
+    c = ConjugationConstruction(4)
+    els = c.elements
+    for m in [*els["d"], *els["d_beta"].values(), *els["c_beta"].values()]:
+        assert_same_as_forward(c.projector, LocElem(c.dset, m))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_smap_matches_forward_series_with_denominators(series, rank):
+    c = get_adjoint(series, rank)
+    dset = c.dset
+    assert len(dset) > 0
+    rng = random.Random(7)
+    for _ in range(8):
+        den = [rng.randint(0, 2) for _ in dset.gens]
+        den[rng.randrange(len(den))] += 1
+        a = LocElem(dset, criterion_poly(rng, dset.vars), den)
+        assert a.den
+        assert_same_as_forward(c.projector, a)
+
+
+def test_f4_projection_of_f_0100_is_pinned():
+    # the forward series peaks at 35,872 terms here before cancelling to
+    # the 2,373 of the answer; the digest was taken from that order
+    c = AdjointConstruction(chevalley_constants(build_root_system("F", 4)))
+    r = c.projector.apply(LocElem.variable(c.dset, "F_0100"))
+    assert len(r.num.terms) == 2373
+    assert hashlib.sha256(json_bytes(r).encode()).hexdigest() == (
+        "4622f8c38b5f7d3ae741bc434f2384bd50e4daecf8243627b9dba55e1cb65903"
+    )
 
 
 def test_triangularity_violation_detected():
