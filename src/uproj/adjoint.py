@@ -14,11 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .liealg import LieElement
 from .projector import Derivation, Projector, SlicePair, apply_stages
 from .rootsystem import kostant_cascade
-from .symfield import DenominatorSet, LocElem
+from .symfield import DenominatorSet, LocElem, Poly
 from .genset import Construction
+
+
+def ad_derivation(basis, dset, sym):
+    """Poisson-bracket derivation a -> {sym, a} of a basis symbol; the
+    image of each variable v is the row table[sym][v] of the bracket
+    table."""
+    images = {
+        v: Poly.linear(basis.symbols, dict(uv))
+        for v, uv in basis.table[sym].items()
+    }
+    return Derivation(dset, images, label=f"D_{sym}")
 
 
 class LevelData:
@@ -65,12 +75,6 @@ class AdjointConstruction(Construction):
 
     # -- level construction -------------------------------------------------
 
-    def _plain_derivation(self, root):
-        basis = self.basis
-        sym = basis.symbol_of(root)
-        x = basis.element(sym)
-        return Derivation.from_lie_element(basis, self.dset, x, label=f"D_{sym}")
-
     def _build_level(self, lv, lifted, cartan_basis):
         basis = self.basis
         e_xi = lifted[basis.pos_symbol[lv.xi]]
@@ -82,7 +86,7 @@ class AdjointConstruction(Construction):
         )
 
         stages = []
-        d_xi = self._plain_derivation(lv.xi)
+        d_xi = ad_derivation(basis, self.dset, basis.pos_symbol[lv.xi])
         q_xi = h_xi * Fraction(-1, 2) * e_xi_inv
         stages.append((d_xi, SlicePair(d_xi, q_xi, witness=(h_xi * Fraction(-1, 2), e_xi))))
 
@@ -92,7 +96,7 @@ class AdjointConstruction(Construction):
                 continue
             partner = partners[alpha]
             n = basis.structure_constant(alpha, partner)
-            d_alpha = self._plain_derivation(alpha)
+            d_alpha = ad_derivation(basis, self.dset, basis.pos_symbol[alpha])
             e_partner = lifted[basis.pos_symbol[partner]]
             q_alpha = e_partner * (Fraction(-1) / n) * e_xi_inv
             stages.append(
@@ -165,7 +169,8 @@ class AdjointConstruction(Construction):
 
     def cartan_complement(self):
         """Basis of the orthogonal complement of the cascade coroots in h,
-        as LieElements (exact kernel, deterministic pivoting)."""
+        as linear forms in the Cartan symbols (exact kernel, deterministic
+        pivoting)."""
         basis = self.basis
         rs = basis.rs
         # sum c_i H_i pairs with the coroot of xi as a positive multiple
@@ -174,15 +179,10 @@ class AdjointConstruction(Construction):
             [rs.cartan_pairing(xi, a) for a in rs.simple_roots]
             for xi in self.cascade.entries
         ]
-        out = []
-        for vec in linalg.nullspace(rows, ncols=rs.rank):
-            out.append(
-                LieElement.make(
-                    basis,
-                    {h: c for h, c in zip(basis.cartan_symbols, vec)},
-                )
-            )
-        return out
+        return [
+            Poly.linear(basis.symbols, dict(zip(basis.cartan_symbols, vec)))
+            for vec in linalg.nullspace(rows, ncols=rs.rank)
+        ]
 
     def _generators(self):
         basis = self.basis
@@ -195,7 +195,7 @@ class AdjointConstruction(Construction):
             )
         for i, h in enumerate(self.cartan_complement()):
             entries.append(
-                (f"P(Hc{i + 1})", p.apply(LocElem(self.dset, h.to_poly())))
+                (f"P(Hc{i + 1})", p.apply(LocElem(self.dset, h)))
             )
         for i, e in enumerate(self.xi_elements):
             entries.append((f"Xi{i + 1}", e))
@@ -210,4 +210,8 @@ class AdjointConstruction(Construction):
         return entries, metadata
 
     def simple_derivations(self):
-        return [self._plain_derivation(a) for a in self.basis.rs.simple_roots]
+        basis = self.basis
+        return [
+            ad_derivation(basis, self.dset, basis.pos_symbol[a])
+            for a in basis.rs.simple_roots
+        ]

@@ -133,6 +133,8 @@ def _verify_universe(args):
 
 def cmd_verify(args):
     try:
+        if args.expr and args.file:
+            raise InvalidDynkinDatum("verify reads --expr or --file, not both")
         dset, family = _verify_universe(args)
     except InvalidDynkinDatum as e:
         print(f"error: {e}", file=sys.stderr)

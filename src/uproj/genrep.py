@@ -135,13 +135,6 @@ class RepInput:
                 return simple, rest
         return None
 
-    def matrix_of(self, x):
-        """Sparse rows of the matrix of a LieElement."""
-        terms = []
-        for sym, c in x.coefficients:
-            terms.append((c, self.sparse[sym]))
-        return linalg.sparse_combination(terms, self.dim)
-
     # -- validation -----------------------------------------------------------
 
     def validate(self):
@@ -165,9 +158,10 @@ class RepInput:
                 )
         symbols = basis.symbols
         for i, u in enumerate(symbols):
+            row = basis.table[u]
             for v in symbols[i + 1:]:
-                lhs = self.matrix_of(
-                    basis.bracket(basis.element(u), basis.element(v))
+                lhs = linalg.sparse_combination(
+                    [(c, self.sparse[s]) for s, c in row.get(v, ())], self.dim
                 )
                 rhs = linalg.sparse_commutator(self.sparse[u], self.sparse[v], 1)
                 if lhs != rhs:
@@ -252,15 +246,14 @@ def adjoint_rep(basis):
     rs = basis.rs
     symbols = basis.symbols
     n = len(symbols)
+    index = {u: i for i, u in enumerate(symbols)}
 
     def ad_matrix(sym):
-        x = basis.element(sym)
+        """Column j holds [sym, symbols[j]], read from the bracket table."""
         m = linalg.zero_matrix(n)
-        for j, t in enumerate(symbols):
-            img = basis.bracket(x, basis.element(t)).as_dict()
-            for i, u in enumerate(symbols):
-                if u in img:
-                    m[i][j] = img[u]
+        for t, uv in basis.table[sym].items():
+            for u, c in uv:
+                m[index[u]][index[t]] = c
         return m
 
     matrices = {}

@@ -4,9 +4,10 @@ Coordinates are the matrix entries s_i_j.  Conjugation by a unipotent
 upper-triangular group element differentiates to D_x(s) = s x - x s.
 The invariant denominators are the lower-left corner minors d_k
 (rows n-k+1..n, columns 1..k).  For a positive root beta = e_a - e_b
-the slice numerator is a signed minor d_beta on rows {a, b+1, ..., n}
-and columns 1..nu with nu = n - b + 1; it satisfies D_beta(d_beta) =
-d_nu exactly, so Q_beta = -(-d_beta) ... = d_beta / d_nu is a slice.
+the slice numerator d_beta is minus the minor on rows {a, b+1, ..., n}
+and columns 1..nu, with nu = n - b + 1.  It satisfies D_beta(d_beta) =
+d_nu exactly, and d_nu is invariant, so Q_beta = d_beta / d_nu has
+D_beta(Q_beta) = 1: it is the slice of the stage.
 The elements sent through the projector are the minors c_beta on the
 last a rows and columns {1, ..., a-1, b}.
 """

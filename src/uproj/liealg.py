@@ -8,6 +8,10 @@ rational identities relating constants of root triples and quadruples
 Computing in groups of Lie type).  Every nonzero bracket of two basis
 symbols is tabulated once at construction, and the Jacobi identity is
 verified there on every triple whose weights sum to a root or to 0.
+That table is the one read path for brackets: `ChevalleyBasis.bracket`,
+the adjoint derivations (adjoint.ad_derivation), the adjoint
+representation and the bracket check of a representation
+(genrep.RepInput.validate) all read it.
 """
 
 from __future__ import annotations
@@ -122,14 +126,14 @@ class ChevalleyBasis:
                     self._extraspecial[gamma] = (alpha, beta)
                     break
         self._nmemo = {}
-        # every nonzero [u, v] over the basis symbols, as (symbol, int)
-        # pairs; a Chevalley basis has integral structure constants
-        self._table = {u: {} for u in self.symbols}
+        # table[u][v] is [u, v] as (symbol, int) pairs sorted by symbol,
+        # for every nonzero bracket; Chevalley constants are integral
+        self.table = {u: {} for u in self.symbols}
         for u, v in itertools.product(self.symbols, repeat=2):
             if uv := self._bracket_symbols(u, v).coefficients:
                 if any(c.denominator != 1 for _, c in uv):
                     raise RuntimeError(f"non-integral constant in [{u}, {v}]")
-                self._table[u][v] = tuple((s, int(c)) for s, c in uv)
+                self.table[u][v] = tuple((s, int(c)) for s, c in uv)
         self.check_jacobi()
 
     # -- root bookkeeping -------------------------------------------------
@@ -272,7 +276,7 @@ class ChevalleyBasis:
             raise BasisMismatch("elements over a different basis")
         acc = {}
         for u, cu in x.coefficients:
-            row = self._table[u]
+            row = self.table[u]
             for v, cv in y.coefficients:
                 for s, c in row.get(v, ()):
                     acc[s] = acc.get(s, Fraction(0)) + cu * cv * c
@@ -288,7 +292,7 @@ class ChevalleyBasis:
         sum to a root or to 0; any other Jacobi sum lies in a zero weight
         space.  A weight w is packed into the int sum_k w_k B^k, with B
         above every coordinate of a difference of two three-weight sums."""
-        table = self._table
+        table = self.table
         base = 6 * max(abs(x) for r in self._root_set for x in r) + 1
 
         def pack(w):

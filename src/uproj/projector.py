@@ -73,15 +73,6 @@ class Derivation:
         # index is a stable key
         self._gen_images = {}
 
-    @classmethod
-    def from_lie_element(cls, basis, dset, x, label=None):
-        """Poisson-bracket derivation a -> {x, a} for x in g."""
-        images = {
-            v: basis.bracket(x, basis.element(v)).to_poly()
-            for v in basis.symbols
-        }
-        return cls(dset, images, label=label or str(x))
-
     def apply(self, a):
         """D(n / prod g_i^e_i), reduced once.
 
@@ -276,10 +267,6 @@ class Projector:
                 at = {**zero, **term}
                 term = {v: img.evaluate(at) - shift[v] for v, img in images}
         return point
-
-    @property
-    def witnesses(self):
-        return [s.witness[0] for _, s in self.stages if s.witness]
 
 
 def verify_invariance(a, family):

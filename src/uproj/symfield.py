@@ -68,6 +68,14 @@ def _fr(x) -> Fraction:
     return Fraction(x)
 
 
+def _over_lcm(coeffs):
+    """({key: int}, den) for {key: nonzero Fraction}: the numerators over
+    den, the lcm of the reduced denominators.  They are coprime to it, so
+    the pair is in lowest terms."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
+
+
 class Packing:
     """Packed monomial keys over one variable tuple.
 
@@ -139,15 +147,9 @@ class Poly:
                 c = _fr(coeff)
                 if c:
                     coeffs[pk.pack(exp)] = c
-        # over the lcm of the reduced denominators the numerators are
-        # already coprime to it, so the result is in lowest terms
-        den = lcm(*(c.denominator for c in coeffs.values()))
         self.vars = pk.vars
         self._pk = pk
-        self._num = {
-            k: c.numerator * (den // c.denominator) for k, c in coeffs.items()
-        }
-        self._den = den
+        self._num, self._den = _over_lcm(coeffs)
         self._terms = None
 
     @classmethod
@@ -185,15 +187,13 @@ class Poly:
 
     @classmethod
     def linear(cls, variables, coeffs):
-        """Linear polynomial from {name: coeff}."""
-        variables = tuple(variables)
+        """Linear polynomial from {name: coeff}, built on packed keys."""
+        pk = Packing.of(variables)
         terms = {}
         for name, c in coeffs.items():
-            i = variables.index(name)
-            exp = [0] * len(variables)
-            exp[i] = 1
-            terms[tuple(exp)] = c
-        return cls(variables, terms)
+            if c := _fr(c):
+                terms[pk.base + pk.units[pk.vars.index(name)]] = c
+        return cls.from_packed(pk, *_over_lcm(terms))
 
     # -- coefficient view -----------------------------------------------
 

@@ -4,8 +4,9 @@ The Killing form and the Casimir element give an independent degree-2
 invariant of the adjoint pipeline; the cross-section check samples
 necessary conditions for free generation at points pi(x) of the
 projector's image.  `smap_forward` is the slice exponential summed term
-by term, the reference for the Horner-order `projector.smap`, and
-`is_root` is root-set membership.
+by term, the reference for the Horner-order `projector.smap`; `is_root`
+is root-set membership, and `witnesses` lists the witness numerators of
+a projector's stages.
 """
 
 import random
@@ -18,6 +19,11 @@ from uproj.projector import (
     sample_regular_point,
 )
 from uproj.symfield import LocElem, Poly, SingularPointError
+
+
+def witnesses(projector):
+    """The numerators a1 of the stage witnesses (a1, a0), in stage order."""
+    return [s.witness[0] for _, s in projector.stages if s.witness]
 
 
 def is_root(rs, v):

@@ -22,7 +22,12 @@ from uproj.projector import jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
 
 from conftest import ADJOINT_SYSTEMS, get_adjoint, get_basis
-from oracles import casimir_element, cross_section_check, killing_form
+from oracles import (
+    casimir_element,
+    cross_section_check,
+    killing_form,
+    witnesses,
+)
 
 
 def report(number, label, ok):
@@ -232,7 +237,7 @@ def test_criterion_09_cross_section_machinery():
     ok = ok and len(identity_checks) == 10
 
     for cons in all_constructions():
-        for a1 in cons.projector.witnesses:
+        for a1 in witnesses(cons.projector):
             if not cons.projector.apply(a1).is_zero():
                 ok = False
     report(9, "cross-section identity and P(witness)=0 everywhere", ok)

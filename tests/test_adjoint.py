@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from uproj import linalg
-from uproj.adjoint import AdjointConstruction
+from uproj.adjoint import AdjointConstruction, ad_derivation
 from uproj.exprparse import parse_expression
 from uproj.liealg import LieElement
 from uproj.projector import jacobian_rank, sample_regular_point
@@ -49,7 +49,7 @@ def test_generator_count_matches_generic_orbit_codimension(adjoint_of, series, r
         pt = {v: Fraction(rng.randint(-9, 9)) for v in c.dset.vars}
         rows = []
         for r in rs.positive_roots:
-            d = c._plain_derivation(r)
+            d = ad_derivation(c.basis, c.dset, c.basis.pos_symbol[r])
             rows.append(
                 [d.apply(LocElem.variable(c.dset, v)).evaluate(pt)
                  for v in c.dset.vars]

@@ -279,6 +279,8 @@ REP_FILE = "<rep file>"
           "--point", '{"s_1_1": "1"}'), None, "conj does not read --type"),
         (("verify", "--n", "2", "--rank", "2", "--expr", "s_1_1"), None,
          "conj does not read --rank"),
+        (("verify", "--type", "A", "--rank", "1", "--expr", "E_1",
+          "--file", REP_FILE), b"E_1\n", "--expr or --file, not both"),
     ],
     ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
@@ -289,7 +291,7 @@ REP_FILE = "<rep file>"
          "verify-product-degree-bound", "eval-degree-bound",
          "verify-file-not-utf8", "rep-file-not-utf8", "adjoint-n",
          "adjoint-file", "conj-type", "conj-rank", "rep-rank", "rep-n",
-         "eval-n-type", "verify-n-rank"],
+         "eval-n-type", "verify-n-rank", "verify-expr-file"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"

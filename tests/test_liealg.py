@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from uproj.adjoint import ad_derivation
 from uproj.genrep import adjoint_rep
 from uproj.liealg import ChevalleyBasis, LieElement, root_suffix
-from uproj.projector import Derivation
 from uproj.rootsystem import build_root_system
 from uproj.symfield import DenominatorSet, LocElem
 
@@ -93,7 +93,7 @@ def test_bracket_table_is_integral(basis_of, monkeypatch):
     b = basis_of("G", 2)
     assert all(
         type(c) is int
-        for row in b._table.values()
+        for row in b.table.values()
         for pairs in row.values()
         for _, c in pairs
     )
@@ -133,8 +133,14 @@ def test_jacobi_sum_vanishes_on_every_triple_the_weight_filter_skips(
     assert skipped
 
 
-def test_brackets_are_read_from_the_table(monkeypatch):
-    b = ChevalleyBasis(build_root_system("B", 2))
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)],
+)
+def test_brackets_are_read_from_the_table(monkeypatch, series, rank):
+    # the derivations, the adjoint representation and its bracket check
+    # are built after the per-pair rule is disabled
+    b = ChevalleyBasis(build_root_system(series, rank))
     expected = {
         (u, v): b._bracket_symbols(u, v) for u in b.symbols for v in b.symbols
     }
@@ -145,7 +151,7 @@ def test_brackets_are_read_from_the_table(monkeypatch):
     monkeypatch.setattr(b, "_bracket_symbols", per_pair_rule)
     dset = DenominatorSet(b.symbols)
     for u in b.symbols:
-        d_u = Derivation.from_lie_element(b, dset, b.element(u))
+        d_u = ad_derivation(b, dset, u)
         for v in b.symbols:
             uv = expected[(u, v)]
             assert b.bracket(b.element(u), b.element(v)) == uv
@@ -204,8 +210,8 @@ def test_poisson_bracket_matches_lie_bracket_on_variables(basis_of):
     b = basis_of("A", 2)
     dset = DenominatorSet(b.symbols)
     for u in b.symbols:
-        # the derivation a -> {u, a} of the Lie element u
-        d_u = Derivation.from_lie_element(b, dset, b.element(u))
+        # the derivation a -> {u, a} of the basis element u
+        d_u = ad_derivation(b, dset, u)
         for v in b.symbols:
             lhs = d_u.apply(LocElem.variable(dset, v))
             rhs = LocElem(dset, b._bracket_symbols(u, v).to_poly())

@@ -34,7 +34,7 @@ from uproj.symfield import (
 )
 
 from conftest import get_adjoint
-from oracles import cross_section_check, smap_forward
+from oracles import cross_section_check, smap_forward, witnesses
 from test_acceptance import rand_poly as criterion_poly
 
 VARS = ("x", "y", "z")
@@ -436,7 +436,7 @@ def projected_sources(c):
             f"P({s})": LocElem.variable(dset, s) for s in c.basis.neg_symbol.values()
         }
         for i, h in enumerate(c.cartan_complement()):
-            out[f"P(Hc{i + 1})"] = LocElem(dset, h.to_poly())
+            out[f"P(Hc{i + 1})"] = LocElem(dset, h)
         return out
     if isinstance(c, ConjugationConstruction):
         return {
@@ -474,6 +474,6 @@ def test_generators_take_their_values_at_the_image_point():
                     assert g.evaluate(x) == sources[name].evaluate(px), (label, name)
                 else:
                     assert g.evaluate(px) == g.evaluate(x), (label, name)
-            for w in p.witnesses:
+            for w in witnesses(p):
                 assert w.evaluate(px) == 0, (label, str(w))
             assert p.image_point(px) == px, label

@@ -82,6 +82,20 @@ def test_coefficient_of_and_linear():
     assert p.coefficient_of("x") == 2
     assert p.coefficient_of("y") == 0
     assert p.coefficient_of("z") == -1
+    # packed keys against the exponent-tuple constructor, on int, Fraction
+    # and zero coefficients
+    for coeffs in (
+        {"x": 3, "y": -2},
+        {"y": Fraction(-3, 4), "z": Fraction(5, 6)},
+        {"x": Fraction(1, 2), "y": 0, "z": 4},
+        {"x": 0, "z": Fraction(0)},
+        {},
+    ):
+        exps = {name: tuple(int(v == name) for v in VARS) for name in VARS}
+        ref = Poly(VARS, {exps[name]: c for name, c in coeffs.items()})
+        got = Poly.linear(VARS, coeffs)
+        assert got == ref and got.terms == ref.terms, coeffs
+        assert list(got.terms) == list(ref.terms), coeffs
 
 
 def test_universe_mismatch_raises():
