@@ -22,12 +22,7 @@ from uproj.projector import jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
 
 from conftest import ADJOINT_SYSTEMS, get_adjoint, get_basis
-from oracles import (
-    casimir_element,
-    cross_section_check,
-    killing_form,
-    witnesses,
-)
+from oracles import casimir_element, cross_section_check, killing_form, witnesses
 
 
 def report(number, label, ok):

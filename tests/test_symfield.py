@@ -84,6 +84,7 @@ def test_coefficient_of_and_linear():
     assert p.coefficient_of("z") == -1
     # packed keys against the exponent-tuple constructor, on int, Fraction
     # and zero coefficients
+    exps = {name: tuple(int(v == name) for v in VARS) for name in VARS}
     for coeffs in (
         {"x": 3, "y": -2},
         {"y": Fraction(-3, 4), "z": Fraction(5, 6)},
@@ -91,7 +92,6 @@ def test_coefficient_of_and_linear():
         {"x": 0, "z": Fraction(0)},
         {},
     ):
-        exps = {name: tuple(int(v == name) for v in VARS) for name in VARS}
         ref = Poly(VARS, {exps[name]: c for name, c in coeffs.items()})
         got = Poly.linear(VARS, coeffs)
         assert got == ref and got.terms == ref.terms, coeffs
