@@ -433,3 +433,34 @@ def test_generators_stdout_is_pinned(argv, digest):
     r = run_cli("generators", *argv, "--seed", "0")
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+# sha256 of `uproj verify` / `uproj eval` stdout, recorded before any
+# change to how they build their universe. A failing check prints its
+# residue over the denominator generators in the order the universe
+# registered them, so each verify case has residues with two or more
+# generators.
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (("verify", "--type", "A", "--rank", "2", "--expr", "E_11",
+          "--expr", "F_10*E_10^-1*E_11^-1",
+          "--expr", "H1*E_11^-2 + F_01*E_01^-1*E_10^-1"),
+         3, "8e9394a34c8ea23fa5b6f898edc44a71102267cf872ccdd009b71c5038ea155a"),
+        (("verify", "--n", "3", "--expr", "s_1_1 + s_2_2 + s_3_3",
+          "--expr", "s_2_2*s_3_1^-1*s_3_2^-1",
+          "--expr", "s_1_1*(s_2_1*s_3_2 - s_2_2*s_3_1)^-1*s_3_1^-1"),
+         3, "2b9d9397227b2030d39e33374c0dd43a37398b3393fc1ab9dbb5e8507cac08e0"),
+        (("eval", "--type", "A", "--rank", "2",
+          "--expr", "H1*E_11^-2 + F_01*E_01^-1*E_10^-1",
+          "--point", json.dumps(
+              {"E_10": "2", "E_01": "-3", "E_11": "5", "H1": "1/7", "F_01": "4"}
+          )),
+         0, "a306ad1fd841b7031fcfcd361e1fe400036ccad0611a65fd7e05daf9dd65c503"),
+    ],
+    ids=["verify-adjoint-A2", "verify-conj-3", "eval-adjoint-A2"],
+)
+def test_verify_and_eval_stdout_is_pinned(argv, code, digest):
+    r = run_cli(*argv)
+    assert r.returncode == code, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -62,6 +64,31 @@ def test_sl2_triples(basis_of, series, rank):
         assert he.as_dict() == e.scale(Fraction(2)).as_dict()
         hf = b.bracket(h, f)
         assert hf.as_dict() == f.scale(Fraction(-2)).as_dict()
+
+
+# sha256 of json.dumps(table, sort_keys=True), recorded while the table
+# was still built from Lie element records; no constant may move
+@pytest.mark.parametrize(
+    "series,rank,digest",
+    [
+        ("A", 1, "01d0a958b6012ed1977c4917f70d1936ede122a98c88e4ccb8d787340528b355"),
+        ("A", 2, "42847c4e933f13ece5ee2b9f79b09238a49454693742ad0eead7350315de65e8"),
+        ("A", 5, "739bfcd730fef7e91421f9edd40e1bcce7c3f729e093de568c35b03ba15a2f5f"),
+        ("B", 3, "e358ad7cacb5f059237a2fe3b802b42743629af4bc76d9b61512ec93e1ed3f6e"),
+        ("C", 4, "99aa28ec963323f29ae6a2e4d165233f9fd358b5cdbd7af1f3e978c7cf6d88a5"),
+        ("D", 4, "414809a2ddfb77718d10ebcefc3943d09c9e8236c99c682be2b9f467570ff7c8"),
+        ("D", 5, "1afa1a897cc17c3fb02ba72e16d88aa2e96f2889c6d2f2c7566b1e39cac35b82"),
+        ("G", 2, "e3cec59fe8106bbd456946c790129790ba7d5c6b5fdb66afb7735b85628a440a"),
+        ("F", 4, "30ecf7b0e66bd829cfe900d2d5dcf8b9ec4c794133e9c6c5254e70c28cb2b7f8"),
+        ("E", 6, "db9f9c794c3261a58c3d149db0affd1c1ded3a14b37a90579bea535bc613c7ec"),
+        ("E", 7, "39256af8e72ed74e5a5b1e1619e5f199b4c892774e9f5a5e5154767e7c1c3912"),
+        ("E", 8, "085ae864cee06db1ef8d907223c87124256677d2fd99208f1d5bd9151685ba7d"),
+    ],
+)
+def test_bracket_table_is_pinned(basis_of, series, rank, digest):
+    table = basis_of(series, rank).table
+    dump = json.dumps(table, sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == digest
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
