@@ -94,10 +94,11 @@ class AdjointConstruction(Construction):
         for alpha in lv.gamma:
             if alpha == lv.xi:
                 continue
-            partner = partners[alpha]
-            n = basis.structure_constant(alpha, partner)
-            d_alpha = ad_derivation(basis, self.dset, basis.pos_symbol[alpha])
-            e_partner = lifted[basis.pos_symbol[partner]]
+            sym, partner = basis.pos_symbol[alpha], basis.pos_symbol[partners[alpha]]
+            # [E_alpha, E_partner] = N E_xi
+            ((_, n),) = basis.table[sym][partner]
+            d_alpha = ad_derivation(basis, self.dset, sym)
+            e_partner = lifted[partner]
             q_alpha = e_partner * (Fraction(-1) / n) * e_xi_inv
             stages.append(
                 (
@@ -122,8 +123,12 @@ class AdjointConstruction(Construction):
         sol = linalg.solve(rows, [Fraction(v) for v in vec])
         if sol is None:
             raise KeyError("Cartan element left the liftable subspace")
+        return self._combine_lifts(sol, cartan_basis)
+
+    def _combine_lifts(self, coeffs, cartan_basis):
+        """sum c * lift over the liftable Cartan basis, added in its order."""
         acc = LocElem.const(self.dset, 0)
-        for c, (_, lift) in zip(sol, cartan_basis):
+        for c, (_, lift) in zip(coeffs, cartan_basis):
             if c:
                 acc = acc + lift * c
         return acc
@@ -158,10 +163,7 @@ class AdjointConstruction(Construction):
                 sum(c * b[0][i] for c, b in zip(combo, cartan_basis))
                 for i in range(rs.rank)
             )
-            pre = LocElem.const(self.dset, 0)
-            for c, (_, lift) in zip(combo, cartan_basis):
-                if c:
-                    pre = pre + lift * c
+            pre = self._combine_lifts(combo, cartan_basis)
             new_cartan_basis.append((vec, apply_stages(stages, pre)))
         return new_lifted, new_cartan_basis
 

@@ -1,11 +1,20 @@
 """Command-line frontend.
 
-Commands: cascade, generators {adjoint|rep|conj}, verify, eval.  Every
-command takes --type/--rank (a Dynkin datum) and --format; generators,
-verify and eval also take --n (matrix size for conjugation).  Only
-generators takes --seed (default 0), which picks the random regular point
-of its Jacobian rank check; no other step is randomized, so repeated runs
-with the same arguments produce byte-identical JSON.
+Each command reads only these options, and exits 2 on any other:
+
+    cascade              --type --rank --format
+    generators adjoint   --type --rank --seed --format
+    generators conj      --n --seed --format
+    generators rep       --file --seed --format
+    verify               --type --rank, or --n; --expr or --file; --format
+    eval                 --type --rank, or --n; --expr --point --format
+
+--type/--rank name a Dynkin datum and --n a matrix size for conjugation;
+verify and eval check against the conjugation pipeline when --n is given
+and against the adjoint one otherwise.  --seed (default 0) picks the
+random regular point of the Jacobian rank check; no other step is
+randomized, so repeated runs with the same arguments produce
+byte-identical JSON.
 Exit codes: 0 success, 2 invalid input, 3 verification failure, 4 out of
 memory ("error: out of memory" on stderr, nothing on stdout).
 """

@@ -101,27 +101,17 @@ class RepInput:
                 raise RepValidationError(f"missing matrix for {h}")
         by_height = sorted(rs.positive_roots, key=lambda r: (rs.height(r), r))
         for root in by_height:
-            for sym, sign in (
-                (basis.pos_symbol[root], 1),
-                (basis.neg_symbol[root], -1),
-            ):
+            for sym_of in (basis.pos_symbol, basis.neg_symbol):
+                sym = sym_of[root]
                 if sym in rho:
                     continue
                 lower = self._split_root(root)
                 if lower is None:
                     raise RepValidationError(f"missing matrix for {sym}")
-                simple, rest = lower
-                if sign > 0:
-                    n = basis.structure_constant(simple, rest)
-                    a = rho[basis.pos_symbol[simple]]
-                    b = rho[basis.pos_symbol[rest]]
-                else:
-                    n = basis.structure_constant(
-                        tuple(-c for c in simple), tuple(-c for c in rest)
-                    )
-                    a = rho[basis.neg_symbol[simple]]
-                    b = rho[basis.neg_symbol[rest]]
-                rho[sym] = linalg.sparse_commutator(a, b, Fraction(1, n))
+                a, b = (sym_of[r] for r in lower)
+                # [a, b] = N sym
+                ((_, n),) = basis.table[a][b]
+                rho[sym] = linalg.sparse_commutator(rho[a], rho[b], Fraction(1, n))
         leftovers = missing - set(rho)
         if leftovers:
             raise RepValidationError(f"could not derive matrices for {leftovers}")

@@ -8,10 +8,13 @@ rational identities relating constants of root triples and quadruples
 Computing in groups of Lie type).  Every nonzero bracket of two basis
 symbols is tabulated once at construction, and the Jacobi identity is
 verified there on every triple whose weights sum to a root or to 0.
-That table is the one read path for brackets: `ChevalleyBasis.bracket`,
-the adjoint derivations (adjoint.ad_derivation), the adjoint
-representation and the bracket check of a representation
-(genrep.RepInput.validate) all read it.
+
+A Lie algebra element is a {symbol: coefficient} dict, the form of a
+table row.  The table is the one read path for brackets: the adjoint
+derivations (adjoint.ad_derivation), the adjoint representation, the
+cascade slices and the bracket closure and check of a representation
+(genrep.RepInput) all read it; only this module computes a structure
+constant.
 """
 
 from __future__ import annotations
@@ -19,72 +22,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .rootsystem import ValueRecord
-from .symfield import Poly
-
-
-class BasisMismatch(ValueError):
-    """Two Lie elements live over different Chevalley bases."""
-
 
 def root_suffix(coeffs):
     return "".join(str(c) for c in coeffs)
-
-
-class LieElement(ValueRecord):
-    """Finite-support coefficient vector over the Chevalley basis symbols."""
-
-    _fields = ("basis", "coefficients")
-
-    def __init__(self, basis, coefficients):
-        vars(self).update(
-            basis=basis,  # ChevalleyBasis
-            coefficients=coefficients,  # sorted tuple of (symbol, Fraction)
-        )
-
-    @classmethod
-    def make(cls, basis, coeff_map):
-        items = tuple(
-            sorted((s, Fraction(c)) for s, c in coeff_map.items() if c != 0)
-        )
-        return cls(basis, items)
-
-    def as_dict(self):
-        return dict(self.coefficients)
-
-    def is_zero(self):
-        return not self.coefficients
-
-    def __add__(self, other):
-        if self.basis is not other.basis:
-            raise BasisMismatch("elements over different bases")
-        d = self.as_dict()
-        for s, c in other.coefficients:
-            d[s] = d.get(s, Fraction(0)) + c
-        return LieElement.make(self.basis, d)
-
-    def __neg__(self):
-        return LieElement.make(self.basis, {s: -c for s, c in self.coefficients})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        factor = Fraction(factor)
-        return LieElement.make(
-            self.basis, {s: c * factor for s, c in self.coefficients}
-        )
-
-    def to_poly(self):
-        """Degree-1 image in S(g)."""
-        return Poly.linear(self.basis.symbols, self.as_dict())
-
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        return " + ".join(
-            f"{c}*{s}" if c != 1 else s for s, c in self.coefficients
-        )
 
 
 class ChevalleyBasis:
@@ -115,6 +55,7 @@ class ChevalleyBasis:
         for r in self.positive_roots:
             self._root_of_symbol[self.pos_symbol[r]] = r
             self._root_of_symbol[self.neg_symbol[r]] = tuple(-x for x in r)
+        self._symbol_of_root = {r: s for s, r in self._root_of_symbol.items()}
 
         self._extraspecial = {}
         for gamma in self.positive_roots:
@@ -130,7 +71,7 @@ class ChevalleyBasis:
         # for every nonzero bracket; Chevalley constants are integral
         self.table = {u: {} for u in self.symbols}
         for u, v in itertools.product(self.symbols, repeat=2):
-            if uv := self._bracket_symbols(u, v).coefficients:
+            if uv := self._bracket_symbols(u, v):
                 if any(c.denominator != 1 for _, c in uv):
                     raise RuntimeError(f"non-integral constant in [{u}, {v}]")
                 self.table[u][v] = tuple((s, int(c)) for s, c in uv)
@@ -140,12 +81,6 @@ class ChevalleyBasis:
 
     def root_of(self, symbol):
         return self._root_of_symbol[symbol]
-
-    def symbol_of(self, root):
-        root = tuple(root)
-        if self.rs.is_positive(root):
-            return self.pos_symbol[root]
-        return self.neg_symbol[tuple(-x for x in root)]
 
     def _chain_down(self, alpha, beta):
         """p = max k with beta - k*alpha a root."""
@@ -243,47 +178,39 @@ class ChevalleyBasis:
             for c, a in zip(self.rs.coefficients(root), self.rs.simple_roots)
         )
 
-    def coroot(self, root):
-        coeffs = self.coroot_coefficients(root)
-        return LieElement.make(
-            self, {h: c for h, c in zip(self.cartan_symbols, coeffs)}
-        )
-
     # -- brackets -----------------------------------------------------------
 
     def _bracket_symbols(self, u, v):
-        """[u, v] for two basis symbols, as a LieElement."""
+        """[u, v] for two basis symbols, as (symbol, Fraction) pairs sorted
+        by symbol, zero coefficients left out."""
         if u in self.cartan_symbols:
             if v in self.cartan_symbols:
-                return LieElement.make(self, {})
+                return ()
             simple = self.rs.simple_roots[self.cartan_symbols.index(u)]
-            c = self.rs.cartan_pairing(self.root_of(v), simple)
-            return LieElement.make(self, {v: c})
-        if v in self.cartan_symbols:
-            return -self._bracket_symbols(v, u)
-        a, b = self.root_of(u), self.root_of(v)
-        s = tuple(x + y for x, y in zip(a, b))
-        if not any(s):
-            return self.coroot(a)
-        if s not in self._root_set:
-            return LieElement.make(self, {})
-        n = self.structure_constant(a, b)
-        return LieElement.make(self, {self.symbol_of(s): n})
+            uv = {v: self.rs.cartan_pairing(self.root_of(v), simple)}
+        elif v in self.cartan_symbols:
+            return tuple((s, -c) for s, c in self._bracket_symbols(v, u))
+        else:
+            a, b = self.root_of(u), self.root_of(v)
+            s = tuple(x + y for x, y in zip(a, b))
+            if not any(s):
+                uv = dict(zip(self.cartan_symbols, self.coroot_coefficients(a)))
+            elif s in self._root_set:
+                uv = {self._symbol_of_root[s]: self.structure_constant(a, b)}
+            else:
+                return ()
+        return tuple(sorted((s, Fraction(c)) for s, c in uv.items() if c))
 
     def bracket(self, x, y):
-        """Bilinear bracket of two LieElements."""
-        if x.basis is not self or y.basis is not self:
-            raise BasisMismatch("elements over a different basis")
+        """Bilinear bracket of two {symbol: coefficient} dicts, read from
+        the table; zero coefficients are left out of the result."""
         acc = {}
-        for u, cu in x.coefficients:
+        for u, cu in x.items():
             row = self.table[u]
-            for v, cv in y.coefficients:
+            for v, cv in y.items():
                 for s, c in row.get(v, ()):
-                    acc[s] = acc.get(s, Fraction(0)) + cu * cv * c
-        return LieElement.make(self, acc)
-
-    def element(self, symbol):
-        return LieElement.make(self, {symbol: 1})
+                    acc[s] = acc.get(s, 0) + cu * cv * c
+        return {s: c for s, c in acc.items() if c}
 
     # -- consistency ----------------------------------------------------------
 
@@ -311,10 +238,9 @@ class ChevalleyBasis:
                 for t, m in table[y].get(z, ()):
                     for r, p in row.get(t, ()):
                         total[r] = total.get(r, 0) + m * p
-            if any(total.values()):
+            if nonzero := {s: c for s, c in sorted(total.items()) if c}:
                 raise RuntimeError(
-                    f"Jacobi identity fails on ({u}, {v}, {w}): "
-                    f"{LieElement.make(self, total)}"
+                    f"Jacobi identity fails on ({u}, {v}, {w}): {nonzero}"
                 )
 
 

@@ -66,11 +66,9 @@ def killing_form(basis):
     n = len(symbols)
     ad = []
     for s in symbols:
-        x = basis.element(s)
         mat = []
         for t in symbols:
-            img = basis.bracket(x, basis.element(t))
-            d = img.as_dict()
+            d = basis.bracket({s: 1}, {t: 1})
             mat.append([d.get(u, Fraction(0)) for u in symbols])
         # mat[j][i] = coefficient of symbol_i in [x, symbol_j]
         ad.append([[mat[j][i] for j in range(n)] for i in range(n)])

@@ -376,8 +376,7 @@ def dense_check_failure(basis, dim, given, weights):
     for i, u in enumerate(symbols):
         for v in symbols[i + 1:]:
             lhs = [[Fraction(0)] * dim for _ in range(dim)]
-            uv = basis.bracket(basis.element(u), basis.element(v))
-            for sym, c in uv.coefficients:
+            for sym, c in basis.bracket({u: 1}, {v: 1}).items():
                 lhs = [
                     [x + c * y for x, y in zip(r1, r2)]
                     for r1, r2 in zip(lhs, rho[sym])

@@ -105,3 +105,19 @@ def test_packed_polynomial_fields_stay_in_the_kernel():
             if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den"):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"Poly internals read outside the kernel at {found}"
+
+
+def test_structure_constants_are_read_from_the_table():
+    # liealg computes each constant once, into ChevalleyBasis.table; a
+    # module that calls the recursion itself is a second read path
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "liealg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and _referenced_name(node.func) == "structure_constant"
+            ):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"structure_constant called outside liealg at {found}"
