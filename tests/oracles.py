@@ -70,7 +70,7 @@ def killing_form(basis):
         for t in symbols:
             d = basis.bracket({s: 1}, {t: 1})
             mat.append([d.get(u, Fraction(0)) for u in symbols])
-        # mat[j][i] = coefficient of symbol_i in [x, symbol_j]
+        # mat[j][i] = coefficient of symbol_i in [s, symbol_j]
         ad.append([[mat[j][i] for j in range(n)] for i in range(n)])
     kappa = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
