@@ -10,14 +10,16 @@ Levi subalgebra until the action becomes diagonalizable; the surviving
 coordinate forms, projected, together with the denominator chain, give a
 free generating set of the invariant field.
 
-Every vector stays in ambient coordinates, and every operator acts
-through the sparse rows of its matrix in rep.sparse.  A stage holds its
-basis vectors, the coefficient rows of the linear forms dual to them on
-their span, and the roots of the current subalgebra.  One routine splits
-a span into irreducible summands: in each weight space, the lowest
-vectors are the combinations killed by every lowering operator, and the
-raising operators close each one into a summand.  It splits the stage
-span under the current subalgebra, then each of those summands under the
+A stage holds its basis vectors, the forms dual to them on their span,
+and the roots of the current subalgebra.  Vectors and forms are pairs
+(d, integer row) in ambient coordinates (see linalg), never rescaled,
+since the scale of v0 fixes the slices; Fractions are built only where
+a form becomes a Poly.  Operators act through the sparse rows in
+rep.sparse, and every span test reduces one row against a linalg.Echelon
+of the rows kept so far.  In each weight space the lowest vectors are
+the combinations killed by every lowering operator, and the raising
+operators close each one into an irreducible summand; this splits the
+stage span under the current subalgebra, then each summand under the
 Levi subalgebra.  When the basis changes, the forms follow by
 T[i][c] = old_form_c(new_vector_i): the new forms are T^{-T} applied to
 the old ones.
@@ -34,6 +36,7 @@ vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
@@ -56,8 +59,9 @@ class RepInput:
     vectors are derived through commutators.  `weights` lists, for every
     basis vector, its values on the simple coroots.
 
-    After validation `rho` maps every symbol to its matrix as a tuple of
-    Fraction tuples, and `sparse` to its sparse rows (see linalg); both
+    After validation `sparse` maps every symbol to the sparse integer rows
+    of its matrix (see linalg), through which the construction applies it,
+    and `rho` to the same matrix as a tuple of Fraction tuples; both
     mappings are read-only.
     """
 
@@ -72,15 +76,14 @@ class RepInput:
         self.variables = tuple(f"y{i + 1}" for i in range(self.dim))
         given = {}
         for sym, m in matrices.items():
-            m = linalg.frac_matrix(m)
+            m = [[Fraction(x) for x in row] for row in m]
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise RepValidationError(f"matrix for {sym} is not dim x dim")
             given[sym] = linalg.sparse_rows(m)
         self.sparse = MappingProxyType(self._close_under_brackets(given))
-        rho = {}
-        for sym, m in self.sparse.items():
-            rho[sym] = linalg.dense_rows(m, self.dim)
-        self.rho = MappingProxyType(rho)
+        self.rho = MappingProxyType(
+            {sym: linalg.dense_rows(m, self.dim) for sym, m in self.sparse.items()}
+        )
         self.validate()
 
     # -- matrix bookkeeping -------------------------------------------------
@@ -91,10 +94,8 @@ class RepInput:
         basis = self.basis
         rs = basis.rs
         rho = dict(given)
-        needed = set(basis.symbols)
-        missing = needed - set(rho)
-        for sym in list(given):
-            if sym not in needed:
+        for sym in given:
+            if sym not in basis.symbols:
                 raise RepValidationError(f"unknown generator symbol {sym}")
         for h in basis.cartan_symbols:
             if h not in rho:
@@ -112,9 +113,6 @@ class RepInput:
                 # [a, b] = N sym
                 ((_, n),) = basis.table[a][b]
                 rho[sym] = linalg.sparse_commutator(rho[a], rho[b], Fraction(1, n))
-        leftovers = missing - set(rho)
-        if leftovers:
-            raise RepValidationError(f"could not derive matrices for {leftovers}")
         return rho
 
     def _split_root(self, root):
@@ -177,7 +175,7 @@ def _rational_rows(value, what):
 def load_rep(data):
     """Build a validated RepInput from parsed JSON data.
 
-    Expected shape: {"type": ..., "rank": ..., "dim": ...,
+    Expected shape: {"type": ..., "rank": int, "dim": int,
     "matrices": {symbol: [[rational strings]]}, "weights": [[int]]}.
     Data of any other shape raises RepValidationError.
     """
@@ -188,10 +186,9 @@ def load_rep(data):
     ]
     if missing:
         raise RepValidationError(f"representation data lacks {missing}")
-    try:
-        rank, dim = int(data["rank"]), int(data["dim"])
-    except (TypeError, ValueError):
-        raise RepValidationError('"rank" and "dim" must be integers') from None
+    for key in ("rank", "dim"):
+        if type(data[key]) is not int:
+            raise RepValidationError(f'"{key}" must be a JSON integer')
     if not isinstance(data["matrices"], dict):
         raise RepValidationError('"matrices" must map symbols to matrices')
     matrices = {
@@ -199,8 +196,8 @@ def load_rep(data):
         for sym, m in data["matrices"].items()
     }
     weights = _rational_rows(data["weights"], '"weights"')
-    basis = chevalley_constants(build_root_system(data["type"], rank))
-    return RepInput(basis, dim, matrices, weights)
+    basis = chevalley_constants(build_root_system(data["type"], data["rank"]))
+    return RepInput(basis, data["dim"], matrices, weights)
 
 
 def defining_rep(basis):
@@ -211,23 +208,18 @@ def defining_rep(basis):
     n = rs.rank + 1
 
     def unit(i, j):
-        m = linalg.zero_matrix(n)
-        m[i][j] = Fraction(1)
-        return m
+        return [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
 
     matrices = {}
     for i, root in enumerate(rs.simple_roots):
         matrices[basis.pos_symbol[root]] = unit(i, i + 1)
         matrices[basis.neg_symbol[root]] = unit(i + 1, i)
-        h = linalg.zero_matrix(n)
-        h[i][i] = Fraction(1)
-        h[i + 1][i + 1] = Fraction(-1)
+        h = unit(i, i)
+        h[i + 1][i + 1] = -1
         matrices[basis.cartan_symbols[i]] = h
-    weights = []
-    for j in range(n):
-        weights.append(
-            [1 if j == i else (-1 if j == i + 1 else 0) for i in range(rs.rank)]
-        )
+    weights = [
+        [int(j == i) - int(j == i + 1) for i in range(rs.rank)] for j in range(n)
+    ]
     return RepInput(basis, n, matrices, weights)
 
 
@@ -240,7 +232,7 @@ def adjoint_rep(basis):
 
     def ad_matrix(sym):
         """Column j holds [sym, symbols[j]], read from the bracket table."""
-        m = linalg.zero_matrix(n)
+        m = [[0] * n for _ in range(n)]
         for t, uv in basis.table[sym].items():
             for u, c in uv:
                 m[index[u]][index[t]] = c
@@ -284,42 +276,51 @@ class RepConstruction(Construction):
         self.dset = DenominatorSet(rep.variables)
         self.stages = []
         rs = rep.basis.rs
-        self._cartan_inv = linalg.mat_inv(
-            [[rs.cartan_pairing(b, a) for b in rs.simple_roots]
-             for a in rs.simple_roots]
-        )
-        vectors = linalg.identity(rep.dim)
-        forms = linalg.identity(rep.dim)
+        simple = rs.simple_roots
+        cartan = [[rs.cartan_pairing(b, a) for b in simple] for a in simple]
+        xs = linalg.solve_columns(cartan, rep.weights)
+        # a total order refining the dominance order on weights
+        self._weight_key = {wt: (sum(x), tuple(x)) for wt, x in zip(rep.weights, xs)}
+        vectors = forms = [
+            (1, [int(i == j) for j in range(rep.dim)]) for i in range(rep.dim)
+        ]
         roots = frozenset(rs.roots)
         flat = []
+        self._lowest_pairs = []
         while True:
             data = self._stage(vectors, forms, roots, flat)
             if data is None:
                 break
             stage, vectors, forms, roots = data
             self.stages.append(stage)
+            self._lowest_pairs.append(forms[0])
             flat.extend(stage.stages)
+        self._final_pairs = forms
         self.final_forms = [self._linear(f) for f in forms]
         self.projector = Projector(flat, dset=self.dset)
 
     # -- per-stage work -------------------------------------------------------
 
-    def _linear(self, row):
-        """The linear form with the given coefficient row."""
+    def _linear(self, form):
+        """The linear form with the coefficient row of the pair form."""
+        den, row = form
         variables = self.rep.variables
-        return Poly.linear(variables, dict(zip(variables, row)))
+        coeffs = (Fraction(x, den) for x in row)
+        return Poly.linear(variables, dict(zip(variables, coeffs)))
 
     @staticmethod
     def _check_span(matrices, vectors):
         """Raise unless every matrix, given by its sparse rows, maps the
         span of the vectors into it."""
-        images = [linalg.sparse_vec(mat, v) for mat in matrices for v in vectors]
-        if linalg.solve_columns(list(zip(*vectors)), images) is None:
-            raise RepValidationError("operator does not preserve the span")
+        span = linalg.Echelon(w for _, w in vectors)
+        for mat in matrices:
+            for v in vectors:
+                if any(span.reduce(linalg.sparse_vec(mat, v)[1])):
+                    raise RepValidationError("operator does not preserve the span")
 
     def _weight_of(self, vec):
         wt = None
-        for c, w in zip(vec, self.rep.weights):
+        for c, w in zip(vec[1], self.rep.weights):
             if c:
                 if wt is None:
                     wt = w
@@ -327,19 +328,12 @@ class RepConstruction(Construction):
                     raise RepValidationError("basis vector is not a weight vector")
         return wt
 
-    def _weight_key(self, wt):
-        """Total order refining the dominance order on weights."""
-        x = linalg.mat_vec(self._cartan_inv, wt)
-        return (sum(x), tuple(x))
-
     def _simple_subroots(self, pos):
         pos_set = set(pos)
-        out = []
-        for a in pos:
-            if not any(
-                tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos_set
-            ):
-                out.append(a)
+        out = [
+            a for a in pos
+            if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos)
+        ]
         rs = self.rep.basis.rs
         return sorted(out, key=lambda r: (rs.height(r), r))
 
@@ -355,30 +349,40 @@ class RepConstruction(Construction):
         for v in vectors:
             by_weight.setdefault(self._weight_of(v), []).append(v)
         summands = []
-        for wt in sorted(by_weight, key=self._weight_key):
+        stacked = [row for mat in lowering for row in mat]
+        width = len(stacked)
+        for wt in sorted(by_weight, key=self._weight_key.__getitem__):
             space = by_weight[wt]
-            rows = [
-                list(row)
-                for mat in lowering
-                for row in zip(*(linalg.sparse_vec(mat, v) for v in space))
-            ]
-            for combo in linalg.nullspace(rows, ncols=len(space)):
-                v0 = linalg.mat_mul([combo], space)[0]
-                summands.append(self._generate(v0, raising))
+            # row k is c [L w_k | e_k], for (d_k, w_k) = space[k], L the
+            # stacked lowering operators and c the denominator of L w_k.  A
+            # remainder t that is zero up to width has sum t_i L w_i = 0 and
+            # t_i = 0 past k, so v0 = sum t_i w_i / (t_k d_k) is the sum of
+            # space weighted by the nullspace vector of its images' column k.
+            kernel = linalg.Echelon()
+            for k, (d, w) in enumerate(space):
+                c, img = linalg.sparse_vec(stacked, (1, w))
+                t = kernel.reduce(img + [c * (i == k) for i in range(len(space))])
+                if any(t[:width]):
+                    kernel.add(t)
+                else:
+                    t = t[width:]
+                    num = [sum(map(mul, t, col)) for col in zip(*[u for _, u in space])]
+                    v0 = linalg.pair(t[k] * d, num)
+                    summands.append(self._generate(v0, raising))
         if sum(len(s) for s in summands) != len(vectors):
             raise RepValidationError("summand decomposition does not fill the space")
         return summands
 
     @staticmethod
     def _generate(v, raising):
-        vectors = [v]
-        frontier = [v]
+        vectors, frontier = [v], [v]
+        span = linalg.Echelon([v[1]])
         while frontier:
             nxt = []
             for w in frontier:
                 for mat in raising:
                     img = linalg.sparse_vec(mat, w)
-                    if any(img) and linalg.rank(vectors + [img]) > len(vectors):
+                    if span.add(img[1]):
                         vectors.append(img)
                         nxt.append(img)
             frontier = nxt
@@ -398,21 +402,19 @@ class RepConstruction(Construction):
         raising = {a: rep.sparse[basis.pos_symbol[a]] for a in pos}
         lowering = [rep.sparse[basis.neg_symbol[a]] for a in simples]
         self._check_span(list(raising.values()) + lowering, vectors)
-        summands = self._decompose(
-            vectors, [raising[a] for a in simples], lowering
-        )
+        summands = self._decompose(vectors, [raising[a] for a in simples], lowering)
         candidates = [s for s in summands if len(s) > 1]
         if not candidates:
             return None
         # the second vector of a summand is the image of its first under a
         # simple raising operator, so the m-orbit of v0 is never empty
         cand = min(
-            candidates, key=lambda s: self._weight_key(self._weight_of(s[0]))
+            candidates, key=lambda s: self._weight_key[self._weight_of(s[0])]
         )
         v0 = cand[0]
         # the m-orbit of v0: roots that move it, with their images
         moved = [(a, linalg.sparse_vec(raising[a], v0)) for a in pos]
-        moved = [(a, img) for a, img in moved if any(img)]
+        moved = [(a, img) for a, img in moved if any(img[1])]
         m_roots = [a for a, _ in moved]
         rest = [a for a in pos if a not in m_roots]
         levi = frozenset(rest + [tuple(-c for c in a) for a in rest])
@@ -425,13 +427,16 @@ class RepConstruction(Construction):
         self._check_span(l_neg, vectors)
         new_vectors = [v0] + [img for _, img in moved]
         k = len(m_roots)
+        span = linalg.Echelon(w for _, w in new_vectors)
         complement = []
         for grp in [cand] + [s for s in summands if s is not cand]:
             self._check_span(l_pos + l_neg, grp)
             for s in self._decompose(grp, l_pos, l_neg):
-                rows = new_vectors + complement
-                if linalg.rank(rows + s) == linalg.rank(rows) + len(s):
+                kept = list(span.rows)
+                if all(span.add(w) for _, w in s):
                     complement.extend(s)
+                else:
+                    span.rows = kept
         if len(new_vectors) + len(complement) != len(vectors):
             raise RepValidationError("invariant complement has a wrong dimension")
         new_vectors += complement
@@ -439,9 +444,15 @@ class RepConstruction(Construction):
         # transport the dual forms: the old forms are dual to the old basis
         # on its span, so T[i][c] = old_form_c(new_vector_i) are the old
         # coordinates of the new vectors, and the new forms are T^{-T}
-        # applied to the old ones
-        t = linalg.mat_mul(new_vectors, list(zip(*forms)))
-        new_forms = linalg.mat_mul(list(zip(*linalg.mat_inv(t))), forms)
+        # applied to the old ones.  Over the integer rows N_i, F_c of the
+        # pairs (d_i, N_i), (e_c, F_c), T = D^-1 T' E^-1 with
+        # T'[i][c] = F_c . N_i, so new form i is d_i (T'^{-T} F)_i.
+        aug = [[sum(map(mul, f, w)) for _, w in new_vectors] + f for _, f in forms]
+        solved = linalg.left_solve(aug, len(new_vectors))
+        new_forms = [
+            linalg.pair(a, [d * x for x in r])
+            for (d, _), (a, r) in zip(new_vectors, solved)
+        ]
 
         # transported slices for this stage, through the stages so far
         lowest = self._linear(new_forms[0])
@@ -453,58 +464,34 @@ class RepConstruction(Construction):
             d = self._ambient_derivation(a)
             wj = apply_stages(flat, LocElem(self.dset, self._linear(new_forms[j])))
             q = wj * Fraction(-1) * den_inv
-            stage_list.append(
-                (d, SlicePair(d, q, witness=(wj * Fraction(-1), den)))
-            )
+            stage_list.append((d, SlicePair(d, q, witness=(wj * Fraction(-1), den))))
 
         for v in new_vectors:
             self._weight_of(v)  # raises on a vector of mixed weights
-        stage = StageData(
-            index=len(self.stages) + 1,
-            lowest_form=lowest,
-            m_roots=m_roots,
-            denominator=den,
-            stages=stage_list,
-        )
-        keep = [0] + list(range(k + 1, len(vectors)))
-        next_vectors = [new_vectors[i] for i in keep]
-        next_forms = [new_forms[i] for i in keep]
-        return stage, next_vectors, next_forms, levi
+        stage = StageData(len(self.stages) + 1, lowest, m_roots, den, stage_list)
+        # v0 and the complement carry on; the m-orbit of v0 is done
+        next_vectors = new_vectors[:1] + new_vectors[k + 1:]
+        return stage, next_vectors, new_forms[:1] + new_forms[k + 1:], levi
 
     def _ambient_derivation(self, root):
-        rep = self.rep
-        sym = rep.basis.pos_symbol[root]
-        images = {}
-        for v, (den, entries) in zip(rep.variables, rep.sparse[sym]):
-            images[v] = Poly.linear(
-                rep.variables,
-                {rep.variables[j]: Fraction(-x, den) for j, x in entries},
-            )
+        sym = self.rep.basis.pos_symbol[root]
+        variables = self.rep.variables
+        images = {
+            v: Poly.linear(variables, {variables[j]: Fraction(-x, d) for j, x in e})
+            for v, (d, e) in zip(variables, self.rep.sparse[sym])
+        }
         return Derivation(self.dset, images, label=f"D_{sym}")
 
     # -- outputs ----------------------------------------------------------------
 
     def _generators(self):
         rep = self.rep
-        entries = []
-        lowest_rows = []
-        for i, stage in enumerate(self.stages):
-            entries.append((f"Lambda{i + 1}", stage.denominator))
-            lowest_rows.append(
-                [stage.lowest_form.coefficient_of(v) for v in rep.variables]
-            )
-        count_extra = 0
-        for f in self.final_forms:
-            row = [f.coefficient_of(v) for v in rep.variables]
-            if linalg.rank(lowest_rows + [row]) > linalg.rank(lowest_rows):
-                lowest_rows.append(row)
-                count_extra += 1
-                entries.append(
-                    (
-                        f"P(f{count_extra})",
-                        self.projector.apply(LocElem(self.dset, f)),
-                    )
-                )
+        entries = [(f"Lambda{i + 1}", s.denominator) for i, s in enumerate(self.stages)]
+        span = linalg.Echelon(w for _, w in self._lowest_pairs)
+        for (_, w), f in zip(self._final_pairs, self.final_forms):
+            if span.add(w):
+                p = self.projector.apply(LocElem(self.dset, f))
+                entries.append((f"P(f{len(entries) - len(self.stages) + 1})", p))
         metadata = {
             "series": rep.basis.rs.series,
             "rank": rep.basis.rs.rank,
@@ -516,7 +503,4 @@ class RepConstruction(Construction):
         return entries, metadata
 
     def simple_derivations(self):
-        return [
-            self._ambient_derivation(a)
-            for a in self.rep.basis.rs.simple_roots
-        ]
+        return [self._ambient_derivation(a) for a in self.rep.basis.rs.simple_roots]

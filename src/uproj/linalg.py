@@ -1,23 +1,25 @@
 """Exact linear algebra over the rationals.
 
-A matrix is a list or tuple of rows whose entries are ints or Fractions;
-every returned entry is a Fraction.  rref, rank, nullspace, solve_columns
-and mat_inv read from one Gauss-Jordan elimination over the integers: each
-row is scaled by the lcm of its denominators, and each updated row is
-divided by its content, so the elimination does no Fraction arithmetic.
-Fractions are built only for the entries a caller reads.  Pivoting takes
-the first nonzero entry in column order; the reduced row echelon form is
-unique, so every result is canonical for a given input.
+A matrix is a list or tuple of rows whose entries are ints or Fractions.
+rref, rank, nullspace, solve_columns and left_solve read from one
+Gauss-Jordan elimination over the integers: each row is scaled by the lcm
+of its denominators, and each updated row is divided by its content, so
+the elimination does no Fraction arithmetic.  Pivoting takes the first
+nonzero entry in column order; the reduced row echelon form is unique, so
+every result is canonical for a given input.  rref, nullspace and
+solve_columns build Fractions only for the entries a caller reads.
 
-An operator applied many times is kept as sparse rows: each row is
-(d, ((j, n_j), ...)), its nonzero entries n_j / d in column order with d
-the lcm of their denominators.  The form is canonical, so two sparse
-matrices are equal exactly when their rows compare equal.  mat_mul and
-mat_vec work through it.
+A vector worked on many times is a pair (d, row): the integer row over
+its positive denominator d, in lowest terms, so d is the lcm of the
+entries' denominators.  An operator applied many times is kept as sparse
+rows, each the pair (d, ((j, n_j), ...)) of its nonzero entries in column
+order.  Both forms are canonical; sparse_vec maps pairs to pairs, and
+Echelon tests membership in a growing span one integer row at a time.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,10 +39,6 @@ def read_rational(value):
     except ValueError:
         pass
     raise ValueError(f"not an integer, p/q or decimal: {text!r}")
-
-
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _int_row(row):
@@ -110,7 +108,7 @@ def nullspace(rows, ncols=None):
     if not rows:
         if ncols is None:
             return []
-        return identity(ncols)
+        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     ncols = len(rows[0])
     m, pivots = _echelon(rows)
     pivot_set = set(pivots)
@@ -154,31 +152,49 @@ def solve_columns(rows, columns):
     return sols
 
 
-def mat_inv(rows):
-    """Inverse of a square rational matrix; raises ValueError if singular."""
-    n = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        unit = [0] * n
-        unit[i] = 1
-        aug.append(list(row) + unit)
-    m, pivots = _echelon(aug)
+def left_solve(rows, n):
+    """For rows [A | B] with A square of size n: the rows of A^-1 B, each
+    as the pair (a, r) of the integer row r over a, possibly negative and
+    not in lowest terms.  Raises ValueError if A is singular."""
+    m, pivots = _echelon(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [
-        [Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
-        for i, row in enumerate(m)
-    ]
+    return [(row[i], row[n:]) for i, row in enumerate(m)]
 
 
-def identity(n):
-    return [
-        [Fraction(1) if i == j else _ZERO for j in range(n)] for i in range(n)
-    ]
+# -- integer rows -------------------------------------------------------------
 
 
-def zero_matrix(n):
-    return [[_ZERO] * n for _ in range(n)]
+class Echelon:
+    """Integer rows in echelon form, grown one row at a time.
+
+    reduce clears a row at the pivots of the rows kept so far with the
+    fraction-free step of _echelon: the remainder is zero exactly when
+    the row lies in their span."""
+
+    def __init__(self, rows=()):
+        self.rows = []  # (pivot, row), by pivot
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, row):
+        for p, r in self.rows:
+            if b := row[p]:
+                g = gcd(r[p], b)
+                row = [r[p] // g * x - b // g * y for x, y in zip(row, r)]
+                g = gcd(*row)
+                row = [x // g for x in row] if g > 1 else row
+        return row
+
+    def add(self, row):
+        """Keep the remainder of row unless it is zero; return whether it
+        was kept."""
+        row = self.reduce(row)
+        for p, x in enumerate(row):
+            if x:
+                insort(self.rows, (p, row))
+                return True
+        return False
 
 
 # -- sparse rows ---------------------------------------------------------------
@@ -216,15 +232,19 @@ def _combine(terms):
     return den // g, tuple(sorted((j, x // g) for j, x in acc.items() if x))
 
 
+def pair(den, row):
+    """The pair of the vector row / den, for an int den != 0."""
+    g = gcd(den, *row) * (-1 if den < 0 else 1)
+    return den // g, [x // g for x in row]
+
+
 def sparse_vec(srows, v):
-    """The vector a v, for the sparse rows of a; zero entries of a are
-    skipped."""
-    dv, w = _int_row(v)
-    out = []
-    for den, entries in srows:
-        n = sum(x * w[j] for j, x in entries)
-        out.append(Fraction(n, den * dv) if n else _ZERO)
-    return out
+    """The pair of a v, for the sparse rows of a and the pair v; zero
+    entries of a are skipped."""
+    dv, w = v
+    den = lcm(*[d for d, _ in srows])
+    out = [sum(x * w[j] for j, x in e) * (den // d) for d, e in srows]
+    return pair(den * dv, out)
 
 
 def sparse_mul(a, b):
@@ -248,11 +268,6 @@ def sparse_commutator(a, b, c):
     return sparse_combination(
         [(c, sparse_mul(a, b)), (-c, sparse_mul(b, a))], len(a)
     )
-
-
-def mat_vec(a, v):
-    """Matrix-vector product; zero entries of a are skipped."""
-    return sparse_vec(sparse_rows(a), v)
 
 
 def mat_mul(a, b):

@@ -6,7 +6,8 @@ necessary conditions for free generation at points pi(x) of the
 projector's image.  `smap_forward` is the slice exponential summed term
 by term, the reference for the Horner-order `projector.smap`; `is_root`
 is root-set membership, and `witnesses` lists the witness numerators of
-a projector's stages.
+a projector's stages.  `mat_vec` and `mat_inv` are dense Fraction matrix
+arithmetic, which the library no longer carries.
 """
 
 import random
@@ -19,6 +20,30 @@ from uproj.projector import (
     sample_regular_point,
 )
 from uproj.symfield import LocElem, Poly, SingularPointError
+
+
+def mat_vec(a, v):
+    """The product of a rational matrix and a vector, by dense Fraction
+    sums."""
+    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def mat_inv(rows):
+    """The inverse of an invertible rational matrix, by dense Gauss-Jordan
+    elimination over Fraction."""
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
 
 
 def witnesses(projector):
@@ -84,7 +109,7 @@ def killing_form(basis):
 def casimir_element(basis, dset):
     """Degree-2 invariant built from the inverse Killing form."""
     kappa = killing_form(basis)
-    inv = linalg.mat_inv(kappa)
+    inv = mat_inv(kappa)
     symbols = basis.symbols
     poly = Poly(symbols)
     for i, u in enumerate(symbols):

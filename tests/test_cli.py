@@ -209,6 +209,15 @@ REP_FILE = "<rep file>"
         (("generators", "rep", "--file", REP_FILE),
          {k: v for k, v in SL2_REP.items() if k != "rank"}, "rank"),
         (("generators", "rep", "--file", REP_FILE), [SL2_REP], "JSON object"),
+        # int() would read these as rank 2, dim 10, dim 10 and rank 1
+        (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "rank": 2.7},
+         '"rank" must be a JSON integer'),
+        (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "dim": 10.9},
+         '"dim" must be a JSON integer'),
+        (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "dim": "10"},
+         '"dim" must be a JSON integer'),
+        (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "rank": True},
+         '"rank" must be a JSON integer'),
         (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "type": ["A"]},
          "unknown series"),
         (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
@@ -282,7 +291,8 @@ REP_FILE = "<rep file>"
         (("verify", "--type", "A", "--rank", "1", "--expr", "E_1",
           "--file", REP_FILE), b"E_1\n", "--expr or --file, not both"),
     ],
-    ids=["rep-no-rank", "rep-list", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
+    ids=["rep-no-rank", "rep-list", "rep-rank-float", "rep-dim-float",
+         "rep-dim-string", "rep-rank-bool", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
          "cascade-n", "verify-seed", "eval-seed", "point-zero-denominator",
          "verify-deep-nesting", "eval-deep-nesting", "point-exponent",

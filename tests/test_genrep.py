@@ -17,6 +17,8 @@ from uproj.genrep import (
 from uproj.projector import Projector
 from uproj.symfield import LocElem, Poly
 
+from oracles import mat_vec
+
 
 def generator_matrices(rep):
     """The Chevalley generator matrices (simple E, simple F, all H)."""
@@ -152,7 +154,7 @@ def test_count_matches_generic_orbit_codimension(basis_of, make):
         rows = []
         for r in b.rs.positive_roots:
             m = rep.rho[b.pos_symbol[r]]
-            rows.append(linalg.mat_vec(m, v))
+            rows.append(mat_vec(m, v))
         best = max(best, linalg.rank(rows))
     assert len(c.generator_set(verify=False)) == rep.dim - best
 
@@ -299,6 +301,23 @@ def test_rep_construction_is_pinned(basis_of, name, series, rank, digest):
     # denominator and (label, q, witness), and the denominator set
     rep = _pinned_rep(basis_of, name, series, rank)
     assert _rep_construction_digest(RepConstruction(rep)) == digest
+
+
+def test_rep_construction_work_is_pinned(basis_of, monkeypatch):
+    # one construction on the input of the rep-adj-b2 benchmark workload,
+    # the adjoint representation of B2: one elimination for the weight
+    # order and one per stage for the forms, and their rows the only ones
+    # converted from Fractions.  Span tests reduce one row at a time, so
+    # an elimination per candidate would show here.
+    rep = adjoint_rep(basis_of("B", 2))
+    counts = dict.fromkeys(["_echelon", "_int_row"], 0)
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(linalg, name), **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    RepConstruction(rep)
+    assert counts == {"_echelon": 3, "_int_row": 19}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -87,6 +88,19 @@ def ref_mat_vec(a, v):
     return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
+def pair_of(v):
+    """The pair (d, integer row) of a rational vector."""
+    den = lcm(*[Fraction(x).denominator for x in v])
+    return linalg.pair(den, [int(Fraction(x) * den) for x in v])
+
+
+def left_inverse(m):
+    """The inverse of a square matrix m, by linalg.left_solve on [m | 1]."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    return [[Fraction(x, a) for x in r] for a, r in linalg.left_solve(aug, n)]
+
+
 def all_fractions(value):
     """Every number nested in value is a Fraction."""
     if isinstance(value, (list, tuple)):
@@ -158,15 +172,22 @@ def test_mat_inv_roundtrip():
             m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             if linalg.rank(m) == n:
                 break
-        inv = linalg.mat_inv(m)
-        assert linalg.mat_mul(m, inv) == linalg.identity(n)
+        inv = left_inverse(m)
+        assert linalg.mat_mul(m, inv) == [
+            [Fraction(int(i == j)) for j in range(n)] for i in range(n)
+        ]
 
 
 def test_mat_vec():
-    m = frac_rows([[1, 2], [3, 4]])
-    assert linalg.mat_vec(m, [Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
-    m = frac_rows([[0, 2], [0, 0]])
-    assert linalg.mat_vec(m, [Fraction(5), Fraction(1, 2)]) == [Fraction(1), Fraction(0)]
+    # sparse_vec maps the pair of v to the pair of a v, in lowest terms
+    m = linalg.sparse_rows(frac_rows([[1, 2], [3, 4]]))
+    assert linalg.sparse_vec(m, (1, [1, 1])) == (1, [3, 7])
+    m = linalg.sparse_rows(frac_rows([[0, 2], [0, 0]]))
+    assert linalg.sparse_vec(m, pair_of([5, Fraction(1, 2)])) == (1, [1, 0])
+    m = linalg.sparse_rows([[Fraction(1, 2), 0], [0, Fraction(-1, 3)]])
+    assert linalg.sparse_vec(m, (5, [1, 1])) == (30, [3, -2])
+    assert linalg.pair(-4, [2, 6]) == (2, [-1, -3])
+    assert linalg.pair(3, [0, 0]) == (1, [0, 0])
 
 
 def dense_mat_mul(a, b):
@@ -207,7 +228,7 @@ def test_solve_columns_matches_per_column_solve():
                     break
             # right-hand sides in the column span, so every one is consistent
             cols = [
-                linalg.mat_vec(a, [Fraction(rng.randint(-4, 4)) for _ in range(k)])
+                ref_mat_vec(a, [Fraction(rng.randint(-4, 4)) for _ in range(k)])
                 for _ in range(rng.randint(1, 4))
             ]
             assert linalg.solve_columns(a, cols) == [linalg.solve(a, b) for b in cols]
@@ -259,17 +280,17 @@ def test_integer_elimination_matches_fraction_reference():
         want_inv = ref_mat_inv(square)
         if want_inv is None:
             with pytest.raises(ValueError):
-                linalg.mat_inv(square)
+                left_inverse(square)
         else:
-            inv = linalg.mat_inv(square)
-            assert inv == want_inv and all_fractions(inv)
+            assert left_inverse(square) == want_inv
 
         b = data.draw(matrix(ncols, data.draw(st.integers(1, 6))))
         prod = linalg.mat_mul(a, b)
         assert prod == dense_mat_mul(a, b) and all_fractions(prod)
         v = data.draw(matrix(1, ncols))[0]
-        img = linalg.mat_vec(a, v)
-        assert img == ref_mat_vec(a, v) and all_fractions(img)
+        den, img = linalg.sparse_vec(linalg.sparse_rows(a), pair_of(v))
+        assert [Fraction(x, den) for x in img] == ref_mat_vec(a, v)
+        assert (den, img) == pair_of(ref_mat_vec(a, v))
 
     check()
 
@@ -282,12 +303,13 @@ def test_empty_inputs_match_fraction_reference():
     assert linalg.nullspace([]) == []
     assert linalg.solve_columns([], [[], []]) == [[], []]
     assert linalg.solve_columns([], [[1]]) is None
-    assert linalg.mat_inv([]) == ref_mat_inv([]) == []
+    assert left_inverse([]) == ref_mat_inv([]) == []
     assert linalg.mat_mul([], [[1, 2]]) == []
     assert linalg.mat_mul([[]], []) == [[]]
-    assert linalg.mat_vec([], [1, 2]) == []
-    assert linalg.mat_vec([[1, 2]], [0, 0]) == [0]
-    assert all_fractions(linalg.mat_vec([[1, 2]], [0, 0]))
+    assert linalg.sparse_vec((), (1, [1, 2])) == (1, [])
+    assert linalg.sparse_vec(linalg.sparse_rows([[1, 2]]), (1, [0, 0])) == (1, [0])
+    assert linalg.Echelon().rows == []
+    assert not linalg.Echelon().add([0, 0])
 
 
 def test_sparse_rows_are_canonical():
@@ -300,3 +322,60 @@ def test_sparse_rows_are_canonical():
     assert twice == rows
     assert linalg.sparse_combination([], 2) == ((1, ()), (1, ()))
     assert linalg.sparse_mul(rows, rows) == linalg.sparse_rows(dense_mat_mul(m, m))
+
+
+def test_echelon_matches_rank_and_solve_columns():
+    # seeded rational rows, each put to the rows kept before it: add keeps
+    # it exactly when the rank grows, reduce leaves a zero remainder
+    # exactly when solve_columns finds it in their span, and the tails of
+    # unit-extended rows are the nullspace of the matrix with these columns
+    rng = random.Random(11)
+
+    def entry(den):
+        return Fraction(rng.randint(-5, 5), rng.randint(1, den))
+
+    def rows_of(nrows, ncols, rank, den):
+        base = [[entry(den) for _ in range(ncols)] for _ in range(rank)]
+        rows = []
+        for _ in range(nrows):
+            cs = [entry(3) for _ in base]
+            rows.append([
+                sum((c * b[j] for c, b in zip(cs, base)), Fraction(0))
+                for j in range(ncols)
+            ])
+        rows.insert(rng.randrange(nrows + 1), [Fraction(0)] * ncols)
+        return rows
+
+    # (nonzero rows, columns, rank they are drawn with, largest
+    # denominator drawn); one zero row joins them at a random place
+    shapes = [(3, 3, 3, 1), (4, 5, 4, 1), (5, 4, 4, 9), (5, 5, 2, 1),
+              (6, 4, 3, 12), (4, 6, 1, 7), (3, 2, 0, 1)]
+    ranks = set()
+    for _ in range(6):
+        for nrows, ncols, r, den in shapes:
+            rows = rows_of(nrows, ncols, r, den)
+            span, kept = linalg.Echelon(), []
+            for row in rows:
+                w = pair_of(row)[1]
+                inside = linalg.solve_columns(list(zip(*kept)), [row]) is not None
+                assert (not any(span.reduce(w))) == inside
+                grows = linalg.rank(kept + [row]) > linalg.rank(kept)
+                assert span.add(w) == grows == (not inside)
+                if grows:
+                    kept.append(row)
+            assert len(span.rows) == linalg.rank(rows)
+            ranks.add((nrows, ncols, len(span.rows)))
+            assert linalg.Echelon(pair_of(row)[1] for row in rows).rows == span.rows
+
+            ints = [pair_of(row)[1] for row in rows]
+            n = len(ints)
+            kernel, found = linalg.Echelon(), []
+            for k, w in enumerate(ints):
+                t = kernel.reduce(w + [int(i == k) for i in range(n)])
+                if any(t[:ncols]):
+                    assert kernel.add(t)
+                else:
+                    found.append([Fraction(x, t[ncols + k]) for x in t[ncols:]])
+            assert found == linalg.nullspace(list(zip(*ints)), ncols=n)
+    # full-rank (in rows or columns), rank-deficient and zero matrices came up
+    assert {(3, 3, 3), (4, 5, 4), (5, 4, 4), (5, 5, 2), (3, 2, 0)} <= ranks
