@@ -103,7 +103,10 @@ def _rep(args):
     if args.file is None:
         raise InvalidDynkinDatum("--file is required")
     with open(args.file) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.file} is nested too deeply") from None
     return RepConstruction(load_rep(data))
 
 
@@ -188,9 +191,15 @@ def cmd_eval(args):
     try:
         dset, _family = _verify_universe(args)
         elem = parse_expression(args.expr, dset)
-        point = json.loads(args.point)
+        try:
+            point = json.loads(args.point)
+        except RecursionError:
+            raise ValueError("--point is nested too deeply") from None
         if not isinstance(point, dict):
             raise ValueError("--point must be a JSON object")
+        for k in point:
+            if k not in dset.vars:
+                raise ValueError(f"--point has an unknown variable {k!r}")
         values = {k: read_rational(v) for k, v in point.items()}
         # a variable outside the numerator and the denominator generators
         # in use has exponent 0 in every term, so any value will do for it

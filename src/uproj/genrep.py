@@ -181,11 +181,13 @@ def load_rep(data):
     """
     if not isinstance(data, dict):
         raise RepValidationError("representation data must be a JSON object")
-    missing = [
-        k for k in ("type", "rank", "dim", "matrices", "weights") if k not in data
-    ]
+    fields = ("type", "rank", "dim", "matrices", "weights")
+    missing = [k for k in fields if k not in data]
     if missing:
         raise RepValidationError(f"representation data lacks {missing}")
+    unknown = [k for k in data if k not in fields]
+    if unknown:
+        raise RepValidationError(f"representation data has unknown fields {unknown}")
     for key in ("rank", "dim"):
         if type(data[key]) is not int:
             raise RepValidationError(f'"{key}" must be a JSON integer')

@@ -14,12 +14,11 @@ last a rows and columns {1, ..., a-1, b}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 from .genset import Construction
 from .projector import Derivation, Projector, SlicePair
-from .rootsystem import build_root_system
 from .symfield import DenominatorSet, LocElem, Poly
 
 
@@ -69,41 +68,20 @@ def minor(variables, rows, cols):
     return out
 
 
-def root_to_pair(root_coeffs):
-    """A positive root of A_{n-1} as the index pair (a, b), beta = e_a - e_b."""
-    support = [i for i, c in enumerate(root_coeffs) if c]
-    if not support or any(root_coeffs[i] != 1 for i in support):
-        raise ValueError(f"{tuple(root_coeffs)} is not a positive root of type A")
-    a = support[0] + 1
-    b = support[-1] + 2
-    return a, b
-
-
-def conj_derivation(dset, x, label=""):
-    """Derivation D_x(s_ij) = (s x - x s)_ij for a constant matrix x."""
-    n = len(x)
-    variables = dset.vars
+def conj_derivation(dset, a, b, label=""):
+    """Derivation D(s) = s x - x s for the matrix unit x = E_ab: D(s_i_b)
+    gains s_i_a, and D(s_a_j) loses s_b_j."""
+    n = isqrt(len(dset.vars))
     images = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             coeffs = {}
-            for k in range(1, n + 1):
-                c = x[k - 1][j - 1]
-                if c:
-                    name = entry_name(i, k)
-                    coeffs[name] = coeffs.get(name, Fraction(0)) + c
-                c = x[i - 1][k - 1]
-                if c:
-                    name = entry_name(k, j)
-                    coeffs[name] = coeffs.get(name, Fraction(0)) - c
-            images[entry_name(i, j)] = Poly.linear(variables, coeffs)
+            if j == b:
+                coeffs[entry_name(i, a)] = 1
+            if i == a:
+                coeffs[entry_name(b, j)] = -1
+            images[entry_name(i, j)] = Poly.linear(dset.vars, coeffs)
     return Derivation(dset, images, label=label)
-
-
-def _unit_matrix(n, a, b):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[a - 1][b - 1] = Fraction(1)
-    return m
 
 
 def matrix_elements(n):
@@ -146,21 +124,19 @@ class ConjugationConstruction(Construction):
 
     def __init__(self, n):
         self.n = n
-        self.rs = build_root_system("A", n - 1)
         self.variables = matrix_variables(n)
         self.dset = DenominatorSet(self.variables)
         self.elements = matrix_elements(n)
         self.d = [LocElem(self.dset, p) for p in self.elements["d"]]
         d_inv = [x.inverse() for x in self.d]
 
-        self.order = list(self.rs.positive_roots)  # height then lexicographic
         self.stages = []
-        for root in self.order:
-            a, b = root_to_pair(self.rs.coefficients(root))
+        # the positive roots e_a - e_b by height b - a, then lexicographically
+        # in their simple-root coefficients
+        pairs = [(a, a + h) for h in range(1, n) for a in range(n - h, 0, -1)]
+        for a, b in pairs:
             k = self.elements["nu"][(a, b)]
-            deriv = conj_derivation(
-                self.dset, _unit_matrix(n, a, b), label=f"D_s_{a}_{b}"
-            )
+            deriv = conj_derivation(self.dset, a, b, label=f"D_s_{a}_{b}")
             num = LocElem(self.dset, self.elements["d_beta"][(a, b)])
             q = num * d_inv[k - 1]
             sp = SlicePair(deriv, q, witness=(num, self.d[k - 1]))
@@ -184,17 +160,12 @@ class ConjugationConstruction(Construction):
         metadata = {
             "n": self.n,
             "count": len(entries),
-            "expected_count": (self.n - 1) + len(self.order),
+            "expected_count": (self.n - 1) + self.n * (self.n - 1) // 2,
         }
         return entries, metadata
 
     def simple_derivations(self):
-        out = []
-        for i in range(1, self.n):
-            out.append(
-                conj_derivation(
-                    self.dset, _unit_matrix(self.n, i, i + 1),
-                    label=f"D_s_{i}_{i + 1}",
-                )
-            )
-        return out
+        return [
+            conj_derivation(self.dset, i, i + 1, label=f"D_s_{i}_{i + 1}")
+            for i in range(1, self.n)
+        ]

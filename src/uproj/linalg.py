@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
 A matrix is a list or tuple of rows whose entries are ints or Fractions.
-rref, rank, nullspace, solve_columns and left_solve read from one
-Gauss-Jordan elimination over the integers: each row is scaled by the lcm
-of its denominators, and each updated row is divided by its content, so
-the elimination does no Fraction arithmetic.  Pivoting takes the first
-nonzero entry in column order; the reduced row echelon form is unique, so
-every result is canonical for a given input.  rref, nullspace and
-solve_columns build Fractions only for the entries a caller reads.
+Every elimination is Echelon's fraction-free step on integer rows: each
+row is scaled by the lcm of its denominators, and each updated row is
+divided by its content, so no elimination does Fraction arithmetic.
+rank counts the rows an Echelon keeps; rref, nullspace, solve_columns and
+left_solve reduce those rows once more, from the last pivot up, to the
+reduced row echelon form.  That form is unique, so every result is
+canonical for a given input; rref, nullspace and solve_columns build
+Fractions only for the entries a caller reads.
 
 A vector worked on many times is a pair (d, row): the integer row over
 its positive denominator d, in lowest terms, so d is the lcm of the
@@ -48,56 +49,60 @@ def _int_row(row):
     return den, [x.numerator * (den // x.denominator) for x in row]
 
 
-def _echelon(rows, full=True):
-    """Fraction-free elimination.
+class Echelon:
+    """Integer rows in echelon form, grown one row at a time.
 
-    Returns (m, pivots): m holds the rows as integer rows, the row with
-    its pivot at column pivots[r] in place r, and the rows past the rank
-    zero.  With full, every pivot column is zero outside its pivot row, so
-    m[r][j] / m[r][pivots[r]] is the reduced row echelon form; without it
-    only the rows below a pivot are cleared.
-    """
-    m = [_int_row(row)[1] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        for p in range(r, nrows):
-            if m[p][c]:
-                break
-        else:
-            continue
-        m[r], m[p] = m[p], m[r]
-        prow = m[r]
-        a = prow[c]
-        for i in range(0 if full else r + 1, nrows):
-            b = m[i][c]
-            if b and i != r:
-                g = gcd(a, b)
-                a1, b1 = a // g, b // g
-                row = [a1 * x - b1 * y for x, y in zip(m[i], prow)]
+    reduce clears a row at the pivots of the rows kept so far with one
+    fraction-free step per pivot: the remainder is zero exactly when the
+    row lies in their span."""
+
+    def __init__(self, rows=()):
+        self.rows = []  # (pivot, row), by pivot
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, row):
+        for p, r in self.rows:
+            if b := row[p]:
+                g = gcd(r[p], b)
+                a, b = r[p] // g, b // g
+                row = [a * x - b * y for x, y in zip(row, r)]
                 g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-    return m, pivots
+                if g > 1:
+                    row = [x // g for x in row]
+        return row
+
+    def add(self, row):
+        """Keep the remainder of row unless it is zero; return whether it
+        was kept."""
+        row = self.reduce(row)
+        for p, x in enumerate(row):
+            if x:
+                insort(self.rows, (p, row))
+                return True
+        return False
+
+
+def _reduced(rows):
+    """The (pivot, integer row) of the reduced row echelon form of rows,
+    by pivot: row / row[pivot] is the form's row."""
+    done = Echelon()
+    for p, row in reversed(Echelon(_int_row(r)[1] for r in rows).rows):
+        # the rows below have their pivots past p, where row starts
+        done.rows.insert(0, (p, done.reduce(row)))
+    return done.rows
 
 
 def rref(rows):
     """Reduced row echelon form.  Returns (matrix, pivot_columns)."""
-    m, pivots = _echelon(rows)
-    out = [
-        [Fraction(x, row[c]) if x else _ZERO for x in row]
-        for row, c in zip(m, pivots)
-    ]
-    out += [[_ZERO] * len(row) for row in m[len(pivots):]]
-    return out, pivots
+    red = _reduced(rows)
+    out = [[Fraction(x, row[p]) if x else _ZERO for x in row] for p, row in red]
+    out += [[_ZERO] * len(row) for row in rows[len(red):]]
+    return out, [p for p, _ in red]
 
 
 def rank(rows):
-    return len(_echelon(rows, full=False)[1])
+    return len(Echelon(_int_row(row)[1] for row in rows).rows)
 
 
 def nullspace(rows, ncols=None):
@@ -110,15 +115,15 @@ def nullspace(rows, ncols=None):
             return []
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     ncols = len(rows[0])
-    m, pivots = _echelon(rows)
-    pivot_set = set(pivots)
+    red = _reduced(rows)
+    pivot_set = {p for p, _ in red}
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
         v = [_ZERO] * ncols
         v[j] = Fraction(1)
-        for row, pc in zip(m, pivots):
+        for pc, row in red:
             v[pc] = Fraction(-row[j], row[pc]) if row[j] else _ZERO
         basis.append(v)
     return basis
@@ -140,13 +145,13 @@ def solve_columns(rows, columns):
         return None
     ncols = len(rows[0])
     aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(rows)]
-    m, pivots = _echelon(aug)
-    if pivots and pivots[-1] >= ncols:
+    red = _reduced(aug)
+    if red and red[-1][0] >= ncols:
         return None
     sols = []
     for k in range(ncols, ncols + len(columns)):
         x = [_ZERO] * ncols
-        for row, pc in zip(m, pivots):
+        for pc, row in red:
             x[pc] = Fraction(row[k], row[pc]) if row[k] else _ZERO
         sols.append(x)
     return sols
@@ -156,45 +161,10 @@ def left_solve(rows, n):
     """For rows [A | B] with A square of size n: the rows of A^-1 B, each
     as the pair (a, r) of the integer row r over a, possibly negative and
     not in lowest terms.  Raises ValueError if A is singular."""
-    m, pivots = _echelon(rows)
-    if pivots != list(range(n)):
+    red = _reduced(rows)
+    if [p for p, _ in red] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [(row[i], row[n:]) for i, row in enumerate(m)]
-
-
-# -- integer rows -------------------------------------------------------------
-
-
-class Echelon:
-    """Integer rows in echelon form, grown one row at a time.
-
-    reduce clears a row at the pivots of the rows kept so far with the
-    fraction-free step of _echelon: the remainder is zero exactly when
-    the row lies in their span."""
-
-    def __init__(self, rows=()):
-        self.rows = []  # (pivot, row), by pivot
-        for row in rows:
-            self.add(row)
-
-    def reduce(self, row):
-        for p, r in self.rows:
-            if b := row[p]:
-                g = gcd(r[p], b)
-                row = [r[p] // g * x - b // g * y for x, y in zip(row, r)]
-                g = gcd(*row)
-                row = [x // g for x in row] if g > 1 else row
-        return row
-
-    def add(self, row):
-        """Keep the remainder of row unless it is zero; return whether it
-        was kept."""
-        row = self.reduce(row)
-        for p, x in enumerate(row):
-            if x:
-                insort(self.rows, (p, row))
-                return True
-        return False
+    return [(row[p], row[n:]) for p, row in red]
 
 
 # -- sparse rows ---------------------------------------------------------------

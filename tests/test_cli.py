@@ -290,6 +290,15 @@ REP_FILE = "<rep file>"
          "conj does not read --rank"),
         (("verify", "--type", "A", "--rank", "1", "--expr", "E_1",
           "--file", REP_FILE), b"E_1\n", "--expr or --file, not both"),
+        # JSON past the decoder's recursion limit
+        (("generators", "rep", "--file", REP_FILE), b"[" * 100000,
+         "nested too deeply"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
+          "--point", "[" * 3000), None, "nested too deeply"),
+        (("generators", "rep", "--file", REP_FILE), {**SL2_REP, "extra": 1},
+         "unknown fields ['extra']"),
+        (("eval", "--type", "A", "--rank", "1", "--expr", "H1",
+          "--point", '{"H1": "3", "E1": "2"}'), None, "unknown variable 'E1'"),
     ],
     ids=["rep-no-rank", "rep-list", "rep-rank-float", "rep-dim-float",
          "rep-dim-string", "rep-rank-bool", "rep-type-list", "point-list", "zero-divisor", "conj-n1",
@@ -301,7 +310,9 @@ REP_FILE = "<rep file>"
          "verify-product-degree-bound", "eval-degree-bound",
          "verify-file-not-utf8", "rep-file-not-utf8", "adjoint-n",
          "adjoint-file", "conj-type", "conj-rank", "rep-rank", "rep-n",
-         "eval-n-type", "verify-n-rank", "verify-expr-file"],
+         "eval-n-type", "verify-n-rank", "verify-expr-file",
+         "rep-deep-nesting", "point-deep-nesting", "rep-unknown-field",
+         "point-unknown-variable"],
 )
 def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     f = tmp_path / "rep.json"

@@ -310,14 +310,14 @@ def test_rep_construction_work_is_pinned(basis_of, monkeypatch):
     # converted from Fractions.  Span tests reduce one row at a time, so
     # an elimination per candidate would show here.
     rep = adjoint_rep(basis_of("B", 2))
-    counts = dict.fromkeys(["_echelon", "_int_row"], 0)
+    counts = dict.fromkeys(["_reduced", "_int_row"], 0)
     for name in counts:
         def counted(*args, _name=name, _f=getattr(linalg, name), **kwargs):
             counts[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(linalg, name, counted)
     RepConstruction(rep)
-    assert counts == {"_echelon": 3, "_int_row": 19}
+    assert counts == {"_reduced": 3, "_int_row": 19}
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,6 @@ from uproj.groupconj import (
     matrix_elements,
     matrix_variables,
     minor,
-    root_to_pair,
-    _unit_matrix,
 )
 from uproj.projector import jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
@@ -63,18 +61,6 @@ def test_minor_is_a_determinant():
         - Poly.variable(vars3, "s_2_2") * Poly.variable(vars3, "s_3_1")
     )
     assert m == expected
-
-
-def test_root_to_pair():
-    assert root_to_pair((1, 0)) == (1, 2)
-    assert root_to_pair((0, 1)) == (2, 3)
-    assert root_to_pair((1, 1)) == (1, 3)
-
-
-@pytest.mark.parametrize("coeffs", [(1, 2), (0, 0)])
-def test_root_to_pair_rejects_non_a_type(coeffs):
-    with pytest.raises(ValueError):
-        root_to_pair(coeffs)
 
 
 def test_minor_rejects_non_square_selection():
@@ -236,18 +222,19 @@ def test_stage_of_by_root_coefficients():
 
 
 def test_conj_derivation_matches_commutator():
+    # D(s_ij) should evaluate to (sx - xs)_ij for each matrix unit x = E_ab
     n = 3
     dset = conj_of(n).dset
-    x = _unit_matrix(n, 1, 2)
-    d = conj_derivation(dset, x, label="t")
     rng = random.Random(3)
     s = random_invertible(rng, n)
-    eps_free = {}
-    # D(s_ij) should evaluate to (sx - xs)_ij
-    sx = linalg.mat_mul(s, x)
-    xs = linalg.mat_mul(x, s)
     pt = point_of_matrix(n, s)
-    for i in range(n):
-        for j in range(n):
-            v = LocElem.variable(dset, entry_name(i + 1, j + 1))
-            assert d.apply(v).evaluate(pt) == sx[i][j] - xs[i][j]
+    for a, b in [(1, 2), (2, 3), (1, 3)]:
+        x = [[Fraction(int((i, j) == (a, b))) for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+        d = conj_derivation(dset, a, b, label="t")
+        sx = linalg.mat_mul(s, x)
+        xs = linalg.mat_mul(x, s)
+        for i in range(n):
+            for j in range(n):
+                v = LocElem.variable(dset, entry_name(i + 1, j + 1))
+                assert d.apply(v).evaluate(pt) == sx[i][j] - xs[i][j]
