@@ -1,12 +1,13 @@
 """U-projector for the adjoint representation.
 
 Walks the Kostant cascade level by level.  Each level contributes one
-slice for the cascade root (built from the lifted coroot over the lifted
-root vector) and one slice per paired root of the Heisenberg layer.  The
-generators that deeper levels still use are then lifted through the level
-by its own s-maps, so each is killed by every derivation of the level
-(the Dixmier map of a locally nilpotent derivation with a slice); the
-lifted cascade root vectors form the invariant denominator chain.
+slice for the cascade root (built from its coroot over its root vector)
+and one slice per paired root of the Heisenberg layer.  Every element a
+level reads (the root vector E_xi, the coroot of xi and each pair partner)
+is first carried through the s-maps of the levels before it, so it is
+killed by every derivation of those levels (the Dixmier map of a locally
+nilpotent derivation with a slice); the carried cascade root vectors form
+the invariant denominator chain.
 """
 
 from __future__ import annotations
@@ -36,53 +37,45 @@ class LevelData:
     roots are in the matching CascadeLevel."""
 
     def __init__(self, denominator, stages):
-        self.denominator = denominator  # lifted center element, a LocElem
+        self.denominator = denominator  # carried center element, a LocElem
         self.stages = stages  # [(Derivation, SlicePair)] of the level, xi first
 
 
 class AdjointConstruction(Construction):
-    """Builds levels, lifts, stages and the composed projector."""
+    """Builds the levels, their stages and the composed projector."""
 
     def __init__(self, basis):
         self.basis = basis
-        rs = basis.rs
-        self.cascade = kostant_cascade(rs)
+        self.cascade = kostant_cascade(basis.rs)
         self.dset = DenominatorSet(basis.symbols)
         self.levels = []
         self.xi_elements = []  # the invariant denominator chain
 
-        lifted = {}
-        for r in rs.positive_roots:
-            s = basis.pos_symbol[r]
-            lifted[s] = LocElem.variable(self.dset, s)
-        cartan_basis = []
-        for i, h in enumerate(basis.cartan_symbols):
-            vec = tuple(
-                Fraction(1 if j == i else 0) for j in range(rs.rank)
-            )
-            cartan_basis.append((vec, LocElem.variable(self.dset, h)))
-
+        stages = []  # of the levels built so far, in application order
         for lv in self.cascade.levels:
-            level = self._build_level(lv, lifted, cartan_basis)
+            level = self._build_level(lv, stages)
             self.levels.append(level)
             self.xi_elements.append(level.denominator)
-            lifted, cartan_basis = self._lift_through(
-                lv, level.stages, lifted, cartan_basis
-            )
-
-        stages = [st for level in self.levels for st in level.stages]
+            stages.extend(level.stages)
         self.projector = Projector(stages, dset=self.dset)
 
     # -- level construction -------------------------------------------------
 
-    def _build_level(self, lv, lifted, cartan_basis):
-        basis = self.basis
-        e_xi = lifted[basis.pos_symbol[lv.xi]]
-        e_xi_inv = e_xi.inverse()
+    def _carry(self, stages, coeffs):
+        """The linear form {symbol: coefficient} carried through the
+        stages by their s-maps."""
+        form = Poly.linear(self.basis.symbols, coeffs)
+        return apply_stages(stages, LocElem(self.dset, form))
 
-        # lifted coroot of xi, expressed in the still-liftable Cartan span
-        h_xi = self._lift_cartan_vector(
-            basis.coroot_coefficients(lv.xi), cartan_basis
+    def _build_level(self, lv, before):
+        """The level's slices; what they read is carried through before,
+        the stages of the levels built so far."""
+        basis = self.basis
+        e_xi = self._carry(before, {basis.pos_symbol[lv.xi]: 1})
+        e_xi_inv = e_xi.inverse()
+        h_xi = self._carry(
+            before,
+            dict(zip(basis.cartan_symbols, basis.coroot_coefficients(lv.xi))),
         )
 
         stages = []
@@ -98,7 +91,7 @@ class AdjointConstruction(Construction):
             # [E_alpha, E_partner] = N E_xi
             ((_, n),) = basis.table[sym][partner]
             d_alpha = ad_derivation(basis, self.dset, sym)
-            e_partner = lifted[partner]
+            e_partner = self._carry(before, {partner: 1})
             q_alpha = e_partner * (Fraction(-1) / n) * e_xi_inv
             stages.append(
                 (
@@ -112,60 +105,6 @@ class AdjointConstruction(Construction):
             )
 
         return LevelData(denominator=e_xi, stages=stages)
-
-    # -- Cartan bookkeeping ---------------------------------------------------
-
-    def _lift_cartan_vector(self, vec, cartan_basis):
-        """Lift of the Cartan element with the given simple-coroot
-        coefficients, solved inside the current liftable span."""
-        rank = self.basis.rs.rank
-        rows = [[b[0][i] for b in cartan_basis] for i in range(rank)]
-        sol = linalg.solve(rows, [Fraction(v) for v in vec])
-        if sol is None:
-            raise KeyError("Cartan element left the liftable subspace")
-        return self._combine_lifts(sol, cartan_basis)
-
-    def _combine_lifts(self, coeffs, cartan_basis):
-        """sum c * lift over the liftable Cartan basis, added in its order."""
-        acc = LocElem.const(self.dset, 0)
-        for c, (_, lift) in zip(coeffs, cartan_basis):
-            if c:
-                acc = acc + lift * c
-        return acc
-
-    # -- Heisenberg lift -----------------------------------------------------
-
-    def _lift_through(self, lv, stages, lifted, cartan_basis):
-        """Carry every still-unconsumed generator through the stages of
-        this level by their s-maps, in list order.
-
-        Only Cartan elements annihilated by the cascade root survive: the
-        coroot of xi went into the slice of D_xi, as the roots of the layer
-        went into the other slices.  The liftable Cartan span is cut down
-        to that kernel."""
-        basis = self.basis
-        rs = basis.rs
-        consumed = set(lv.gamma)
-        new_lifted = {}
-        for r in rs.positive_roots:
-            sym = basis.pos_symbol[r]
-            if sym in lifted and r not in consumed:
-                new_lifted[sym] = apply_stages(stages, lifted[sym])
-
-        # functional h -> xi(h) on simple-coroot coordinates
-        xi_row = [rs.cartan_pairing(lv.xi, a) for a in rs.simple_roots]
-        values = [
-            sum(c * v for c, v in zip(xi_row, vec)) for vec, _ in cartan_basis
-        ]
-        new_cartan_basis = []
-        for combo in linalg.nullspace([values], ncols=len(cartan_basis)):
-            vec = tuple(
-                sum(c * b[0][i] for c, b in zip(combo, cartan_basis))
-                for i in range(rs.rank)
-            )
-            pre = self._combine_lifts(combo, cartan_basis)
-            new_cartan_basis.append((vec, apply_stages(stages, pre)))
-        return new_lifted, new_cartan_basis
 
     # -- generators ------------------------------------------------------------
 

@@ -30,10 +30,11 @@ _ZERO = Fraction(0)
 def read_rational(value):
     """A rational from outside: an int, or its text as an integer, p/q or
     a decimal.  Exponent notation raises ValueError, since
-    Fraction("1e999999999") builds 10^999999999."""
+    Fraction("1e999999999") builds 10^999999999; so does digit grouping
+    such as "1_000", which Python reads and the documented forms leave out."""
     text = str(value)
     try:
-        if "e" not in text.lower():
+        if "e" not in text.lower() and "_" not in text:
             return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

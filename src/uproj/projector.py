@@ -141,8 +141,7 @@ class SlicePair:
     def __init__(self, derivation, q, witness=None):
         r = derivation.apply(q)
         if r == LocElem.const(q.dset, -1):
-            q = -q
-            r = derivation.apply(q)
+            q, r = -q, -r  # D is linear
             if witness is not None:
                 a1, a0 = witness
                 witness = (a1, -a0)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from uproj import linalg
+from uproj import linalg, projector
 from uproj.adjoint import AdjointConstruction, ad_derivation
 from uproj.exprparse import parse_expression
-from uproj.projector import jacobian_rank, sample_regular_point
-from uproj.symfield import LocElem
+from uproj.projector import apply_stages, jacobian_rank, sample_regular_point
+from uproj.symfield import LocElem, Poly
 
 from oracles import casimir_element, killing_form
 
@@ -264,35 +264,67 @@ def _reference_lift(c, lv, lifted, cartan_basis):
     "series,rank",
     [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2)],
 )
-def test_lift_through_a_level_is_its_s_maps(basis_of, monkeypatch, series, rank):
-    # every lift that survives a level is killed by each derivation of the
-    # level and equals the quadratic-over-center solution
-    calls = []
-    lift_through = AdjointConstruction._lift_through
-
-    def recording(self, lv, stages, lifted, cartan_basis):
-        out = lift_through(self, lv, stages, lifted, cartan_basis)
-        calls.append((lv, stages, lifted, cartan_basis, out))
-        return out
-
-    monkeypatch.setattr(AdjointConstruction, "_lift_through", recording)
+def test_lift_through_a_level_is_its_s_maps(basis_of, series, rank):
+    # the reference's inputs at a level are every root coordinate not yet
+    # consumed and a basis of the Cartan kernel of the earlier cascade
+    # roots, each carried through the earlier levels; the level's own
+    # s-maps carry them to the quadratic-over-center solution, and carry
+    # every coordinate into the kernel of each derivation of the level
     c = AdjointConstruction(basis_of(series, rank))
-    assert len(calls) == len(c.levels)
-    for lv, stages, lifted, cartan_basis, out in calls:
-        assert out == _reference_lift(c, lv, lifted, cartan_basis)
-        # the generators are moved by the low stages of a level only, so
-        # each coordinate is lifted too: the level's s-maps carry any
-        # element into the kernel of every derivation of the level
-        probes = [(lifted, cartan_basis, out)]
-        for v in c.dset.vars:
-            x = LocElem.variable(c.dset, v)
-            args = (dict.fromkeys(lifted, x), [(vec, x) for vec, _ in cartan_basis])
-            probes.append((*args, lift_through(c, lv, stages, *args)))
-        for *_, (new_lifted, new_cartan_basis) in probes:
-            lifts = list(new_lifted.values()) + [h for _, h in new_cartan_basis]
-            for d, _ in stages:
-                for lift in lifts:
-                    assert d.apply(lift).is_zero(), (lv.xi, d.label)
+    basis = c.basis
+    rs = basis.rs
+
+    def carry(stages, coeffs):
+        form = Poly.linear(basis.symbols, coeffs)
+        return apply_stages(stages, LocElem(c.dset, form))
+
+    before, consumed = [], set()
+    for k, (lv, level) in enumerate(zip(c.cascade.levels, c.levels)):
+        through = before + level.stages
+        roots = [r for r in rs.positive_roots if r not in consumed]
+        lifted = {
+            basis.pos_symbol[r]: carry(before, {basis.pos_symbol[r]: 1})
+            for r in roots
+        }
+        rows = [
+            [rs.cartan_pairing(xi, a) for a in rs.simple_roots]
+            for xi in c.cascade.entries[:k]
+        ]
+        cartan_basis = [
+            (tuple(vec), carry(before, dict(zip(basis.cartan_symbols, vec))))
+            for vec in linalg.nullspace(rows, ncols=rs.rank)
+        ]
+        new_lifted, new_cartan_basis = _reference_lift(c, lv, lifted, cartan_basis)
+        assert new_lifted == {
+            basis.pos_symbol[r]: apply_stages(level.stages, lifted[basis.pos_symbol[r]])
+            for r in roots
+            if r not in lv.gamma
+        }
+        for vec, lift in new_cartan_basis:
+            assert lift == carry(through, dict(zip(basis.cartan_symbols, vec)))
+
+        lifts = [*new_lifted.values(), *(h for _, h in new_cartan_basis)]
+        lifts += [carry(level.stages, {v: 1}) for v in c.dset.vars]
+        for d, _ in level.stages:
+            for lift in lifts:
+                assert d.apply(lift).is_zero(), (lv.xi, d.label)
+        before, consumed = through, consumed | set(lv.gamma)
+
+
+@pytest.mark.parametrize("series,rank,calls", [("A", 3, 10), ("D", 5, 148)])
+def test_adjoint_construction_work_is_pinned(basis_of, monkeypatch, series, rank, calls):
+    # each level carries through the earlier levels only what it reads:
+    # E_xi, the coroot of xi and the pair partners
+    count = [0]
+    smap = projector.smap
+
+    def counting(*args):
+        count[0] += 1
+        return smap(*args)
+
+    monkeypatch.setattr(projector, "smap", counting)
+    AdjointConstruction(basis_of(series, rank))
+    assert count[0] == calls
 
 
 def _construction_digest(c):

@@ -251,6 +251,9 @@ REP_FILE = "<rep file>"
         # Fraction("1e999999999") would build 10^999999999
         (("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
           "--point", '{"E_1": "1e999999999"}'), None, "'1e999999999'"),
+        # Python alone reads "1_000" as 1000
+        (("eval", "--type", "A", "--rank", "1", "--expr", "E_1",
+          "--point", '{"E_1": "1_000"}'), None, "'1_000'"),
         (("generators", "rep", "--file", REP_FILE),
          {**SL2_REP, "matrices": {**SL2_REP["matrices"],
                                   "H1": [["1e999999999", "0"], ["0", "-1"]]}},
@@ -305,6 +308,7 @@ REP_FILE = "<rep file>"
          "trials", "jobs", "degree-cap", "iter-cap", "cascade-seed",
          "cascade-n", "verify-seed", "eval-seed", "point-zero-denominator",
          "verify-deep-nesting", "eval-deep-nesting", "point-exponent",
+         "point-digit-grouping",
          "rep-exponent", "point-missing-variable",
          "point-missing-denominator-variable", "verify-degree-bound",
          "verify-product-degree-bound", "eval-degree-bound",

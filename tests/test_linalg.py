@@ -244,7 +244,9 @@ def test_read_rational_accepts_plain_forms_only():
     assert [linalg.read_rational(v) for v in (3, "-7", "-1/2", "0.25", 0.5)] == [
         3, -7, Fraction(-1, 2), Fraction(1, 4), Fraction(1, 2)
     ]
-    for bad in ("1e999999999", "2E3", 1e300, "1/0", "x", None, [1]):
+    bad_values = ("1e999999999", "2E3", 1e300, "1_000", "1_0/3", "0.000_5",
+                  "1/0", "x", None, [1])
+    for bad in bad_values:
         with pytest.raises(ValueError):
             linalg.read_rational(bad)
 
