@@ -97,7 +97,6 @@ def test_slice_pairing_n2():
     st = next(st for st in c.stages if st.pair == (1, 2))
     assert st.nu == 1
     num, den = st.slice_pair.witness
-    assert str(den) == "s_2_1"
     assert st.derivation.apply(num) == den
     # D_E(d_1) = 0 for n = 2: d_1 = s_2_1 is invariant
     d1 = LocElem(c.dset, c.elements["d"][0])
@@ -212,6 +211,14 @@ def test_char_poly_coefficients_are_fixed_and_trace_in_span():
     gen_rows = rows_of(gs.elements)
     assert linalg.rank(gen_rows) == len(gs)
     assert linalg.rank(gen_rows + rows_of([tr])) == len(gs)
+
+
+def test_stage_of_by_root_coefficients():
+    # for n = 2 the one stage is the pair (1, 2)
+    c = conj_of(2)
+    sp = next(st for st in c.stages if st.pair == (1, 2)).slice_pair
+    num, den = sp.witness
+    assert str(den) == "s_2_1"
 
 
 def test_conj_derivation_matches_commutator():
