@@ -273,13 +273,11 @@ def verify_invariance(a, family):
     checks = []
     for d in family:
         residue = d.apply(a)
-        checks.append(
-            {
-                "name": f"invariance:{d.label}",
-                "status": "pass" if residue.is_zero() else "fail",
-                **({} if residue.is_zero() else {"residue": str(residue)}),
-            }
-        )
+        check = {"name": f"invariance:{d.label}", "status": "pass"}
+        if not residue.is_zero():
+            check["status"] = "fail"
+            check["residue"] = str(residue)
+        checks.append(check)
     return {"checks": checks}
 
 
@@ -299,24 +297,25 @@ def jacobian_rank(dset, elements, point):
     Each row is evaluated pointwise by the quotient rule,
     d(n / prod g^e)/dv = (dn/dv - n sum_i e_i (dg_i/dv) / g_i) / prod g^e,
     from the values and gradients of n and of the generators at the point.
+    Poly.value_and_gradient reads each of them in one pass over its terms;
+    no derivative polynomial is built.  Elements must be over dset
+    (UniverseMismatch otherwise), since their exponents index its
+    generators.
     """
-    names = dset.vars
     gens = {}  # generator index -> (value, gradient) at the point
-
-    def value_and_gradient(p):
-        return p.evaluate(point), [p.deriv(v).evaluate(point) for v in names]
-
     rows = []
     for a in elements:
         if isinstance(a, Poly):
             a = LocElem(dset, a)
-        nval, row = value_and_gradient(a.num)
+        elif a.dset is not dset:
+            raise UniverseMismatch("element over a different denominator set")
+        nval, row = a.num.value_and_gradient(point)
         scale = Fraction(1)
         for i, e in enumerate(a.den):
             if not e:
                 continue
             if i not in gens:
-                gens[i] = value_and_gradient(dset.gens[i])
+                gens[i] = dset.gens[i].value_and_gradient(point)
             gval, ggrad = gens[i]
             if gval == 0:
                 raise SingularPointError(

@@ -76,6 +76,17 @@ def _over_lcm(coeffs):
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
+def _over_common_den(variables, point):
+    """(b, {FIELD_BITS * j: a_j}) with point[x_j] = a_j / b over the lcm b
+    of the coordinates' denominators; a_j is keyed by the bit offset of
+    x_j's field."""
+    vals = [_fr(point[v]) for v in variables]
+    b = lcm(*(v.denominator for v in vals))
+    return b, {
+        FIELD_BITS * j: v.numerator * (b // v.denominator) for j, v in enumerate(vals)
+    }
+
+
 class Packing:
     """Packed monomial keys over one variable tuple.
 
@@ -353,15 +364,9 @@ class Poly:
         turned into one Fraction.  Each key is read only at the fields of
         the variables its monomial contains.
         """
-        vals = [_fr(point[v]) for v in self.vars]
+        b, ints = _over_common_den(self.vars, point)
         if not self._num:
             return Fraction(0)
-        b = lcm(*(v.denominator for v in vals))
-        # a_j by the bit offset of x_j's field
-        ints = {
-            FIELD_BITS * j: v.numerator * (b // v.denominator)
-            for j, v in enumerate(vals)
-        }
         pk = self._pk
         shift, base = pk.shift, pk.base
         deg = self.total_degree()
@@ -384,6 +389,55 @@ class Poly:
                 t *= ints[at] ** e
             total += t
         return Fraction(total, self._den * b**deg)
+
+    def value_and_gradient(self, point):
+        """(value, [d/dx_j at the point for x_j in vars]) in one pass.
+
+        Over evaluate's common b, the partial in x_j is
+        sum_e n_e e_j a^(e - unit_j) b^(deg - |e|) / (den b^(deg - 1)).
+        A term with no zero coordinate adds its value term times e_j / a_j;
+        where a_j = 0, only a term with e_j = 1 and no other zero
+        coordinate adds, the product of its other factors, and to x_j's
+        partial alone.
+        """
+        b, ints = _over_common_den(self.vars, point)
+        grad = dict.fromkeys(ints, 0)  # by bit offset
+        pk = self._pk
+        shift, base = pk.shift, pk.base
+        deg = self.total_degree()
+        bpow = {}
+        total = 0
+        for key, n in self._num.items():
+            d = key >> shift
+            scale = bpow.get(d)
+            if scale is None:
+                scale = bpow[d] = b ** (deg - d)
+            t = n * scale
+            read = []  # (offset, e_j, a_j) of the nonzero coordinates
+            lost = None  # offset of the one zero coordinate, -1 if none adds
+            plain = base + (d << shift) - key
+            while plain:
+                at = ((plain & -plain).bit_length() - 1) & -FIELD_BITS
+                e = (plain >> at) & FIELD_MASK
+                plain -= e << at
+                if a := ints[at]:
+                    t *= a**e
+                    read.append((at, e, a))
+                elif lost is None and e == 1:
+                    lost = at
+                else:
+                    lost = -1
+            if lost is None:
+                total += t
+                for at, e, a in read:
+                    grad[at] += t // a * e
+            elif lost >= 0:
+                grad[lost] += t
+        den = self._den * b ** max(deg - 1, 0)
+        return (
+            Fraction(total, self._den * b**deg),
+            [Fraction(g, den) for g in grad.values()],
+        )
 
     # -- normal form helpers -------------------------------------------
 

@@ -121,3 +121,17 @@ def test_structure_constants_are_read_from_the_table():
             ):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"structure_constant called outside liealg at {found}"
+
+
+def test_verification_builds_no_derivative_polynomials():
+    # jacobian_rank reads each value and gradient in one pass over the
+    # terms (Poly.value_and_gradient); a .deriv( call on the verify path
+    # would build one polynomial per variable again.  LocElem.deriv stays
+    # the reference in the tests
+    found = []
+    for name in ("projector.py", "genset.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _referenced_name(node.func) == "deriv":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"derivative polynomial built on the verify path at {found}"

@@ -38,6 +38,7 @@ from oracles import cross_section_check, smap_forward, witnesses
 from test_acceptance import rand_poly as criterion_poly
 
 VARS = ("x", "y", "z")
+REP_ADJ_B2 = Path(__file__).resolve().parents[1] / "perfbench/data/rep-adj-b2.json"
 
 
 def make_dset():
@@ -393,8 +394,89 @@ def test_jacobian_rank_singular_point():
     x, y = LocElem.variable(dset, "x"), LocElem.variable(dset, "y")
     pt = {"x": Fraction(2), "y": Fraction(-2), "z": Fraction(1)}
     assert jacobian_rank(dset, [x * y], pt) == 1
-    with pytest.raises(SingularPointError):
+    with pytest.raises(SingularPointError, match=r"^denominator generator x \+ y vanishes$"):
         jacobian_rank(dset, [x, y / (x + y)], pt)
+
+
+def test_jacobian_rank_rejects_an_element_over_another_denominator_set():
+    # 1/(y - 3) has exponent 1 on generator 0 of its own set; read against
+    # another set whose generator 0 is x + 1 it would count as 1/(x + 1)
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    own, other = DenominatorSet(VARS, [y - 3]), DenominatorSet(VARS, [x + 1])
+    a = LocElem(own, 1, [1])
+    pt = {"x": Fraction(2), "y": Fraction(5), "z": Fraction(1)}
+    assert jacobian_rank(own, [a, LocElem.variable(own, "x")], pt) == 2
+    with pytest.raises(UniverseMismatch):
+        jacobian_rank(other, [a, LocElem.variable(other, "x")], pt)
+
+
+def test_value_and_gradient_matches_deriv_at_edge_points():
+    x, y, z = (Poly.variable(VARS, v) for v in VARS)
+    polys = [
+        Poly.const(VARS, 0),
+        Poly.const(VARS, Fraction(7, 3)),
+        x,
+        # x under exponents 1, 2 and 3; terms in one, two and three variables
+        x * y * y * z * 3 - x * x * z + x * x * x + y * Fraction(5, 2) - 4,
+        x * y * z + x * y + x * x * y * y * Fraction(-1, 6) + z,
+    ]
+    rng = random.Random(7)
+    polys += [rand_poly(rng, nterms=6, deg=3) for _ in range(10)]
+    coords = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 7)]
+    for p in polys:
+        for cx in coords:
+            for cy in coords:
+                for cz in coords:
+                    pt = {"x": cx, "y": cy, "z": cz}
+                    got = p.value_and_gradient(pt)
+                    expected = [p.deriv(v).evaluate(pt) for v in VARS]
+                    assert got == (p.evaluate(pt), expected), (str(p), pt)
+                    assert all(isinstance(c, Fraction) for c in [got[0], *got[1]])
+
+
+def test_jacobian_rank_takes_polys_and_empty_lists(monkeypatch):
+    seen = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    dset = kernel_dset()
+    x, y, z = (Poly.variable(VARS, v) for v in VARS)
+    pt = {"x": Fraction(0), "y": Fraction(3, 2), "z": Fraction(-1)}
+    elements = [x * y, y * y * z, x * y * z + x * x]
+    expected = symbolic_rows(dset, elements, pt)
+    assert jacobian_rank(dset, elements, pt) == rank(expected)
+    assert seen.pop() == expected
+    assert jacobian_rank(dset, [], pt) == 0
+    assert seen.pop() == []
+
+
+def generator_set_constructions():
+    return {
+        "adjoint-A2": lambda: get_adjoint("A", 2),
+        "adjoint-B2": lambda: get_adjoint("B", 2),
+        "adjoint-G2": lambda: get_adjoint("G", 2),
+        "conj-3": lambda: ConjugationConstruction(3),
+        "conj-4": lambda: ConjugationConstruction(4),
+        "rep-adj-b2": lambda: RepConstruction(
+            load_rep(json.loads(REP_ADJ_B2.read_text()))
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(generator_set_constructions()))
+def test_jacobian_rank_rows_match_symbolic_rows_on_generator_sets(name, monkeypatch):
+    """The rows jacobian_rank hands linalg.rank against the LocElem.deriv
+    rows, at the regular points Construction.verify draws for seeds 0-4."""
+    c = generator_set_constructions()[name]()
+    elements = c.generator_set(verify=False).elements
+    derivs = [[a.deriv(v) for v in c.dset.vars] for a in elements]
+    seen = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    for seed in range(5):
+        point = sample_regular_point(c.dset, random.Random(seed))
+        r = jacobian_rank(c.dset, elements, point)
+        assert seen.pop() == [[d.evaluate(point) for d in row] for row in derivs]
+        assert r == len(elements)
 
 
 # -- the projector at a point ----------------------------------------------
@@ -414,9 +496,6 @@ def test_image_point_rejects_what_is_not_a_flow():
     p = Projector([(scaling, SlicePair(scaling, LocElem(dset, x)))], dset=dset)
     with pytest.raises(NotLocallyNilpotent, match=r"d/dx \+ y d/dy"):
         p.image_point(pt)
-
-
-REP_ADJ_B2 = Path(__file__).resolve().parents[1] / "perfbench/data/rep-adj-b2.json"
 
 
 def value_constructions():
