@@ -90,8 +90,10 @@ class Derivation:
         # P = prod_{i in M} g_i, the result is
         # (D(n) P - n sum_{i in M} e_i D(g_i) P / g_i) / (prod g^e * P);
         # the numerator is built one generator at a time, prod being the
-        # product of those taken so far
-        prod = Poly.const(self.dset.vars, 1)
+        # product of those taken so far.  e and prod are folded into the
+        # small D(g_i) first, so the large n is multiplied once per
+        # generator
+        prod = 1
         for i, e in enumerate(a.den):
             if not e:
                 continue
@@ -99,8 +101,8 @@ class Derivation:
             if dg.is_zero():
                 continue
             g = self.dset.gens[i]
-            num = num * g - a.num * dg * prod * e
-            prod = prod * g
+            num = num * g - a.num * (dg * prod * e)
+            prod = g * prod
             den[i] += 1
         return LocElem(self.dset, num, den)
 
@@ -165,7 +167,10 @@ def smap(derivation, slice_pair, a):
     of the series, whose terms have already cancelled, where a forward
     partial sum carries terms that cancel only at the end.  Both orders
     give the same reduced element; tests/oracles.py keeps the forward sum
-    as the reference.
+    as the reference.  The scalar -1 / (k + 1) goes onto the slice element
+    q, which is small (one or two terms in most stages), not onto the
+    tail r; a one-term numerator of q multiplies r by a key shift (see
+    symfield).
 
     Raises NotLocallyNilpotent when D^k(a) is still nonzero past
     k = 10 deg(a) + 16: the cap is the forward sum's, and it fires after
@@ -188,7 +193,7 @@ def smap(derivation, slice_pair, a):
         powers.append(cur)
     result = powers.pop()
     for k in range(len(powers), 0, -1):
-        result = powers[k - 1] + result * q * Fraction(-1, k)
+        result = powers[k - 1] + result * (q * Fraction(-1, k))
     return result
 
 

@@ -17,6 +17,11 @@ so that
 - x^d divides x^r exactly when key(r) - key(d) + key(0) has the top
   (guard) bit of no field set.
 
+So a one-term factor or divisor costs one int shift per term of the other
+operand: `*` and `exact_div` take that path without an accumulator or a
+heap.  The first denominator generator of each pipeline is a single
+coordinate, so many of the s-map engine's divisions are of this kind.
+
 Every exponent fits its field while the total degree is at most
 MAX_DEGREE = c = 32767.  An operation whose result could pass that bound
 raises DegreeBoundError; a field never wraps.  Exponent tuples appear only
@@ -303,6 +308,16 @@ class Poly:
             return Poly.from_packed(pk, {})
         check_degree((max(a) >> pk.shift) + (max(b) >> pk.shift))
         base = pk.base
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a one-term factor shifts every key of the other by the same
+            # offset: no two products meet, and none is zero
+            ((k2, n2),) = b.items()
+            off = k2 - base
+            return Poly.from_packed(
+                pk, {k + off: n * n2 for k, n in a.items()}, self._den * other._den
+            )
         acc = {}
         get = acc.get
         bterms = b.items()
@@ -332,8 +347,11 @@ class Poly:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
-            return self.is_constant() and self.constant_value() == _fr(other)
+            # a LocElem compares through its own __eq__
+            return NotImplemented
         return (
             self._pk is other._pk
             and self._den == other._den
@@ -475,7 +493,10 @@ class Poly:
         does over Z, so the first quotient coefficient that is not an
         integer proves there is no quotient.  The leading terms are
         divided before the heap is built; most failing divisions fail
-        there.
+        there.  A one-term divisor c x^d builds no heap: its primitive
+        part is +-x^d, so each quotient term is a numerator term with its
+        key shifted by key(0) - key(d), and the first key that x^d does
+        not divide (a guard bit set) proves there is no quotient.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -496,6 +517,17 @@ class Poly:
         dlead = dnum[dkey] // content
         if self._num[rkey] % dlead:
             return None
+        dd = divisor._den
+        if len(dnum) == 1:
+            # x^d with dlead = +-1: each quotient key is a key shift
+            m = dlead * dd
+            qnum = {}
+            for k, n in self._num.items():
+                q = k + to_q
+                if q & guard:
+                    return None
+                qnum[q] = n * m
+            return Poly.from_packed(pk, qnum, self._den * content)
         dtail = [(k - base, n // content) for k, n in dnum.items() if k != dkey]
         # quotient terms come out in decreasing grevlex order, and every
         # update lands strictly below the term being cancelled, so each
@@ -526,7 +558,6 @@ class Poly:
                 else:
                     rem[k] = old - c * n2
         # self / divisor = Q * divisor._den / (self._den * content)
-        dd = divisor._den
         if dd != 1:
             qnum = {k: n * dd for k, n in qnum.items()}
         return Poly.from_packed(pk, qnum, self._den * content)
@@ -777,8 +808,10 @@ class LocElem:
         return self * other.inverse()
 
     def __eq__(self, other):
-        if not isinstance(other, LocElem):
-            other = LocElem.const(self.dset, other)
+        if isinstance(other, (int, Fraction, Poly)):
+            other = LocElem(self.dset, other)
+        elif not isinstance(other, LocElem):
+            return NotImplemented
         return (self - other).is_zero()
 
     def __hash__(self):

@@ -4,7 +4,9 @@ The Killing form and the Casimir element give an independent degree-2
 invariant of the adjoint pipeline; the cross-section check samples
 necessary conditions for free generation at points pi(x) of the
 projector's image.  `smap_forward` is the slice exponential summed term
-by term, the reference for the Horner-order `projector.smap`; `is_root`
+by term, the reference for the Horner-order `projector.smap`, and
+`derivation_apply` the quotient rule one generator at a time, the
+reference for `Derivation.apply`; `is_root`
 is root-set membership, and `witnesses` lists the witness numerators of
 a projector's stages.  `mat_vec` and `mat_inv` are dense Fraction matrix
 arithmetic, which the library no longer carries.
@@ -83,6 +85,28 @@ def smap_forward(derivation, slice_pair, a):
         fact *= k
         qpow = qpow * q
         result = result + cur * qpow * Fraction(sign, fact)
+
+
+def derivation_apply(derivation, a):
+    """D(n / prod g_i^e_i) = D(n) / prod g^e - a sum_i e_i D(g_i) / g_i,
+    in LocElem arithmetic, with D(p) = sum_v D(v) dp/dv on polynomials."""
+    dset = derivation.dset
+    if isinstance(a, Poly):
+        a = LocElem(dset, a)
+
+    def on_poly(p):
+        out = Poly.const(dset.vars, 0)
+        for v, img in derivation.images.items():
+            out = out + p.deriv(v) * img
+        return out
+
+    result = LocElem(dset, on_poly(a.num), a.den)
+    for i, e in enumerate(a.den):
+        if e:
+            inv_g = [0] * (i + 1)
+            inv_g[i] = 1
+            result = result - a * LocElem(dset, on_poly(dset.gens[i]) * e, inv_g)
+    return result
 
 
 def killing_form(basis):

@@ -135,3 +135,29 @@ def test_verification_builds_no_derivative_polynomials():
             if isinstance(node, ast.Call) and _referenced_name(node.func) == "deriv":
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"derivative polynomial built on the verify path at {found}"
+
+
+def test_s_map_engine_builds_no_constant_factors():
+    # Derivation.apply folds e and the product of the moved generators
+    # into the small D(g_i), and smap puts -1/k onto the slice element; a
+    # constant built there is a factor that the large numerator or the
+    # series tail would be multiplied by in a pass of its own
+    tree = ast.parse((SRC / "projector.py").read_text())
+    derivation = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Derivation"
+    )
+    bodies = [
+        n for n in derivation.body + tree.body
+        if isinstance(n, ast.FunctionDef) and n.name in ("apply", "smap")
+    ]
+    assert len(bodies) == 2
+    found = [
+        f"projector.py:{node.lineno}"
+        for body in bodies
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "const"
+        and _referenced_name(node.func.value) == "Poly"
+    ]
+    assert not found, f"Poly.const called in the s-map engine at {found}"

@@ -34,7 +34,7 @@ from uproj.symfield import (
 )
 
 from conftest import get_adjoint
-from oracles import cross_section_check, smap_forward, witnesses
+from oracles import cross_section_check, derivation_apply, smap_forward, witnesses
 from test_acceptance import rand_poly as criterion_poly
 
 VARS = ("x", "y", "z")
@@ -368,6 +368,40 @@ def test_apply_after_denominator_set_grows():
         a = rand_locelem(rng, dset) * grown
         for d in derivations:
             assert d.apply(a) == reference_apply(d, a)
+
+
+def moving_derivation(rng, dset):
+    """Each variable to a random linear form plus a constant: unlike the
+    stage and simple derivations, it moves the invariant generators."""
+    images = {}
+    for v in dset.vars:
+        coeffs = {w: rng.randint(-3, 3) for w in rng.sample(dset.vars, 2)}
+        images[v] = Poly.linear(dset.vars, coeffs) + rng.randint(-2, 2)
+    return Derivation(dset, images, label="moving")
+
+
+@pytest.mark.parametrize("name", ["conj-4", "adjoint-B2", "adjoint-G2"])
+def test_apply_matches_the_quotient_rule_with_moved_generators(name):
+    """Derivation.apply, field for field, against the quotient rule taken
+    one generator at a time, on elements over two or more moved
+    generators, and on their images under D again."""
+    dset = generator_set_constructions()[name]().dset
+    checked = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        d = moving_derivation(rng, dset)
+        moved = [not derivation_apply(d, g).is_zero() for g in dset.gens]
+        for _ in range(3):
+            den = [rng.randint(1, 2) for _ in dset.gens]
+            a = LocElem(dset, criterion_poly(rng, dset.vars), den)
+            if sum(m for m, e in zip(moved, a.den) if e) < 2:
+                continue
+            for _ in range(2):
+                got, want = d.apply(a), derivation_apply(d, a)
+                assert (got.num, got.den) == (want.num, want.den)
+                checked += 1
+                a = got
+    assert checked >= 20
 
 
 def symbolic_rows(dset, elements, point):

@@ -565,6 +565,82 @@ def test_exact_div_rejects_at_the_leading_term_before_building_a_heap(
         (d * d).exact_div(d)
 
 
+# -- one-term factors and divisors: key shifts, no accumulator or heap ----
+
+
+def test_one_term_factor_and_divisor_match_the_reference():
+    hyp, st = _hypothesis()
+    # negative, rational and non-primitive (content != 1) coefficients
+    coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(bool)
+
+    @_settings(hyp)
+    @hyp.given(st.integers(1, 3), st.data())
+    def check(nvars, data):
+        variables = VARS[:nvars]
+        tp = data.draw(_polys(st, nvars=nvars))
+        # constants and monomials in one to nvars variables
+        exp = data.draw(st.tuples(*[st.integers(0, 3)] * nvars))
+        c = data.draw(coeffs)
+        p, d = Poly(variables, tp), Poly(variables, {exp: c})
+        rp, rd = ref_clean(tp), {exp: c}
+        one = Poly.const(variables, 1)
+        for got, want in (
+            (p * d, ref_mul(rp, rd)),
+            (d * p, ref_mul(rd, rp)),
+            (p * one, rp),
+            (one * p, rp),
+        ):
+            assert_normal(got)
+            assert dict(got.terms) == want
+        for divisor in (d, d * 6, d * Fraction(-4, 9)):
+            q = (p * divisor).exact_div(divisor)
+            assert q == p
+            assert_normal(q)
+        got, want = p.exact_div(d), ref_exact_div(rp, rd)
+        if want is None:
+            assert got is None
+        else:
+            assert_normal(got)
+            assert dict(got.terms) == want
+
+    check()
+
+
+def test_one_term_divisor_builds_no_heap(monkeypatch):
+    def no_heap(heap):
+        raise RuntimeError("heap built")
+
+    monkeypatch.setattr(heapq, "heapify", no_heap)
+    d = Poly(VARS, {(1, 0, 1): -6})  # -6xz, content 6
+    # a hit: (3x^2yz + xz/2) / (-6xz) = -xy/2 - 1/12
+    hit = Poly(VARS, {(2, 1, 1): 3, (1, 0, 1): Fraction(1, 2)})
+    assert hit.exact_div(d) == Poly(
+        VARS, {(1, 1, 0): Fraction(-1, 2), (0, 0, 0): Fraction(-1, 12)}
+    )
+    # a miss at the leading term: xz does not divide y^3
+    assert Poly(VARS, {(0, 3, 0): 1, (1, 0, 1): 1}).exact_div(d) is None
+    # a miss past it: xz divides x^2z^2 but not y
+    assert Poly(VARS, {(2, 0, 2): 1, (0, 1, 0): 5}).exact_div(d) is None
+    # a divisor of two terms still takes the heap
+    with pytest.raises(RuntimeError, match="heap built"):
+        (hit * (d + 1)).exact_div(d + 1)
+
+
+def test_equality_declines_operands_that_are_not_numbers_or_elements():
+    p = Poly.const(VARS, 3)
+    assert p == 3 and p == Fraction(3) and 3 == p
+    assert p != "3" and not p == "3"
+    assert p != None  # noqa: E711
+    dset = DenominatorSet(VARS, [Poly.variable(VARS, "x")])
+    a = LocElem(dset, p)
+    assert a == 3 and a == Fraction(3) and a == p and p == a
+    assert a != "3" and a != None  # noqa: E711
+    b = LocElem(dset, p, (1,))
+    assert b != None and not b == None  # noqa: E711
+    assert [a, b].count(None) == 0
+    assert b != p and p != b
+
+
 # -- property tests of LocElem ---------------------------------------------
 #
 # Every example builds its own DenominatorSet: division registers new
