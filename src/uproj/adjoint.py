@@ -1,13 +1,13 @@
 """U-projector for the adjoint representation.
 
 Walks the Kostant cascade level by level.  Each level contributes one
-slice for the cascade root (built from its coroot over its root vector)
-and one slice per paired root of the Heisenberg layer.  Every element a
-level reads (the root vector E_xi, the coroot of xi and each pair partner)
-is first carried through the s-maps of the levels before it, so it is
-killed by every derivation of those levels (the Dixmier map of a locally
-nilpotent derivation with a slice); the carried cascade root vectors form
-the invariant denominator chain.
+stage for the cascade root (its slice is -1/2 its coroot over its root
+vector) and one stage per paired root of the Heisenberg layer.  Every
+element a level reads (the root vector E_xi, the coroot of xi and each
+pair partner) is first carried through the s-maps of the levels before
+it, so it is killed by every derivation of those levels (the Dixmier map
+of a locally nilpotent derivation with a slice); the carried cascade root
+vectors form the invariant denominator chain.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .projector import Derivation, Projector, SlicePair, apply_stages
+from .projector import Derivation, Projector, Stage, apply_stages
 from .rootsystem import kostant_cascade
 from .symfield import DenominatorSet, LocElem, Poly
 from .genset import Construction
@@ -32,32 +32,18 @@ def ad_derivation(basis, dset, sym):
     return Derivation(dset, images, label=f"D_{sym}")
 
 
-class LevelData:
-    """What a cascade level contributes to the projector; the level's
-    roots are in the matching CascadeLevel."""
-
-    def __init__(self, denominator, stages):
-        self.denominator = denominator  # carried center element, a LocElem
-        self.stages = stages  # [(Derivation, SlicePair)] of the level, xi first
-
-
 class AdjointConstruction(Construction):
-    """Builds the levels, their stages and the composed projector."""
+    """Builds the stages of each cascade level and the composed projector."""
 
     def __init__(self, basis):
         self.basis = basis
         self.cascade = kostant_cascade(basis.rs)
         self.dset = DenominatorSet(basis.symbols)
-        self.levels = []
         self.xi_elements = []  # the invariant denominator chain
-
         stages = []  # of the levels built so far, in application order
         for lv in self.cascade.levels:
-            level = self._build_level(lv, stages)
-            self.levels.append(level)
-            self.xi_elements.append(level.denominator)
-            stages.extend(level.stages)
-        self.projector = Projector(stages, dset=self.dset)
+            stages += self._build_level(lv, stages)
+        self.projector = Projector(self.dset, stages)
 
     # -- level construction -------------------------------------------------
 
@@ -68,20 +54,18 @@ class AdjointConstruction(Construction):
         return apply_stages(stages, LocElem(self.dset, form))
 
     def _build_level(self, lv, before):
-        """The level's slices; what they read is carried through before,
-        the stages of the levels built so far."""
+        """The level's stages, xi first, each over the carried E_xi; what
+        they read is carried through before, the stages of the levels
+        built so far."""
         basis = self.basis
         e_xi = self._carry(before, {basis.pos_symbol[lv.xi]: 1})
-        e_xi_inv = e_xi.inverse()
+        self.xi_elements.append(e_xi)
         h_xi = self._carry(
             before,
             dict(zip(basis.cartan_symbols, basis.coroot_coefficients(lv.xi))),
         )
-
-        stages = []
         d_xi = ad_derivation(basis, self.dset, basis.pos_symbol[lv.xi])
-        q_xi = h_xi * Fraction(-1, 2) * e_xi_inv
-        stages.append((d_xi, SlicePair(d_xi, q_xi, witness=(h_xi * Fraction(-1, 2), e_xi))))
+        stages = [Stage(d_xi, h_xi * Fraction(-1, 2), e_xi)]
 
         partners = dict(lv.pairing)
         for alpha in lv.gamma:
@@ -92,19 +76,8 @@ class AdjointConstruction(Construction):
             ((_, n),) = basis.table[sym][partner]
             d_alpha = ad_derivation(basis, self.dset, sym)
             e_partner = self._carry(before, {partner: 1})
-            q_alpha = e_partner * (Fraction(-1) / n) * e_xi_inv
-            stages.append(
-                (
-                    d_alpha,
-                    SlicePair(
-                        d_alpha,
-                        q_alpha,
-                        witness=(e_partner * (Fraction(-1) / n), e_xi),
-                    ),
-                )
-            )
-
-        return LevelData(denominator=e_xi, stages=stages)
+            stages.append(Stage(d_alpha, e_partner * (Fraction(-1) / n), e_xi))
+        return stages
 
     # -- generators ------------------------------------------------------------
 

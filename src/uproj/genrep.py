@@ -41,7 +41,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .genset import Construction
-from .projector import Derivation, Projector, SlicePair, apply_stages
+from .projector import Derivation, Projector, Stage, apply_stages
 from .rootsystem import build_root_system
 from .liealg import chevalley_constants
 from .symfield import DenominatorSet, LocElem, Poly
@@ -261,13 +261,12 @@ class StageData:
     """One peeling step: the chosen lowest vector and everything derived
     from it."""
 
-    def __init__(self, index, lowest_form, m_roots, denominator, stages):
-        self.index = index
+    def __init__(self, lowest_form, m_roots, denominator, stages):
         # ambient linear Poly, dual to v0 in the new basis
         self.lowest_form = lowest_form
         self.m_roots = m_roots  # ordered nilradical roots
         self.denominator = denominator  # transported lowest form, a LocElem
-        self.stages = stages  # [(Derivation, SlicePair)] in application order
+        self.stages = stages  # [Stage] in application order
 
 
 class RepConstruction(Construction):
@@ -299,7 +298,7 @@ class RepConstruction(Construction):
             flat.extend(stage.stages)
         self._final_pairs = forms
         self.final_forms = [self._linear(f) for f in forms]
-        self.projector = Projector(flat, dset=self.dset)
+        self.projector = Projector(self.dset, flat)
 
     # -- per-stage work -------------------------------------------------------
 
@@ -459,18 +458,14 @@ class RepConstruction(Construction):
         # transported slices for this stage, through the stages so far
         lowest = self._linear(new_forms[0])
         den = apply_stages(flat, LocElem(self.dset, lowest))
-        den_inv = den.inverse()
-        stage_list = []
+        stages = []
         for j in range(k, 0, -1):
-            a = m_roots[j - 1]
-            d = self._ambient_derivation(a)
             wj = apply_stages(flat, LocElem(self.dset, self._linear(new_forms[j])))
-            q = wj * Fraction(-1) * den_inv
-            stage_list.append((d, SlicePair(d, q, witness=(wj * Fraction(-1), den))))
+            stages.append(Stage(self._ambient_derivation(m_roots[j - 1]), -wj, den))
 
         for v in new_vectors:
             self._weight_of(v)  # raises on a vector of mixed weights
-        stage = StageData(len(self.stages) + 1, lowest, m_roots, den, stage_list)
+        stage = StageData(lowest, m_roots, den, stages)
         # v0 and the complement carry on; the m-orbit of v0 is done
         next_vectors = new_vectors[:1] + new_vectors[k + 1:]
         return stage, next_vectors, new_forms[:1] + new_forms[k + 1:], levi

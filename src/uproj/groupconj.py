@@ -1,4 +1,4 @@
-"""U-projector for conjugation on n x n matrices (type A).
+"""U-projector for conjugation on SL_n (type A).
 
 Coordinates are the matrix entries s_i_j.  Conjugation by a unipotent
 upper-triangular group element differentiates to D_x(s) = s x - x s.
@@ -18,7 +18,7 @@ from itertools import permutations
 from math import isqrt
 
 from .genset import Construction
-from .projector import Derivation, Projector, SlicePair
+from .projector import Derivation, Projector, Stage
 from .symfield import DenominatorSet, LocElem, Poly
 
 
@@ -87,9 +87,8 @@ def conj_derivation(dset, a, b, label=""):
 def matrix_elements(n):
     """Fundamental minors and per-root slice/orbit minors.
 
-    Returns a dict with keys "d" (list of d_1..d_{n-1}), "d_beta",
-    "c_beta" (maps (a, b) -> Poly) and "nu" (the fundamental index
-    carrying d_beta)."""
+    Returns a dict with keys "d" (list of d_1..d_{n-1}), "d_beta" and
+    "c_beta" (maps (a, b) -> Poly)."""
     if n < 2:
         raise ValueError("need n >= 2")
     variables = matrix_variables(n)
@@ -99,7 +98,6 @@ def matrix_elements(n):
     ]
     d_beta = {}
     c_beta = {}
-    nu = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             k = n - b + 1
@@ -107,20 +105,15 @@ def matrix_elements(n):
             d_beta[(a, b)] = -minor(variables, rows, range(1, k + 1))
             cols = list(range(1, a)) + [b]
             c_beta[(a, b)] = minor(variables, range(n - a + 1, n + 1), cols)
-            nu[(a, b)] = k
-    return {"d": d, "d_beta": d_beta, "c_beta": c_beta, "nu": nu}
-
-
-class ConjStage:
-    def __init__(self, pair, nu, derivation, slice_pair):
-        self.pair = pair  # (a, b)
-        self.nu = nu
-        self.derivation = derivation
-        self.slice_pair = slice_pair
+    return {"d": d, "d_beta": d_beta, "c_beta": c_beta}
 
 
 class ConjugationConstruction(Construction):
-    """Builds the stage chain and the projector for conjugation on GL_n."""
+    """Builds the stage chain and the projector for conjugation on SL_n.
+
+    The domain is SL_n: det, a U-invariant, is left out of the emitted
+    set, and det = 1 is the one relation among the coordinates.
+    """
 
     def __init__(self, n):
         self.n = n
@@ -128,33 +121,25 @@ class ConjugationConstruction(Construction):
         self.dset = DenominatorSet(self.variables)
         self.elements = matrix_elements(n)
         self.d = [LocElem(self.dset, p) for p in self.elements["d"]]
-        d_inv = [x.inverse() for x in self.d]
-
-        self.stages = []
         # the positive roots e_a - e_b by height b - a, then lexicographically
         # in their simple-root coefficients
-        pairs = [(a, a + h) for h in range(1, n) for a in range(n - h, 0, -1)]
-        for a, b in pairs:
-            k = self.elements["nu"][(a, b)]
-            deriv = conj_derivation(self.dset, a, b, label=f"D_s_{a}_{b}")
-            num = LocElem(self.dset, self.elements["d_beta"][(a, b)])
-            q = num * d_inv[k - 1]
-            sp = SlicePair(deriv, q, witness=(num, self.d[k - 1]))
-            self.stages.append(
-                ConjStage(pair=(a, b), nu=k, derivation=deriv, slice_pair=sp)
+        self.pairs = [(a, a + h) for h in range(1, n) for a in range(n - h, 0, -1)]
+        # application order: the largest root first.  The slice of e_a - e_b
+        # is d_beta / d_nu, nu = n - b + 1
+        self.projector = Projector(self.dset, [
+            Stage(
+                conj_derivation(self.dset, a, b, label=f"D_s_{a}_{b}"),
+                LocElem(self.dset, self.elements["d_beta"][(a, b)]),
+                self.d[n - b],
             )
-        # application order: the largest root first
-        flat = [
-            (st.derivation, st.slice_pair) for st in reversed(self.stages)
-        ]
-        self.projector = Projector(flat, dset=self.dset)
+            for a, b in reversed(self.pairs)
+        ])
 
     def _generators(self):
         entries = []
         for i, x in enumerate(self.d):
             entries.append((f"d{i + 1}", x))
-        for st in self.stages:
-            a, b = st.pair
+        for a, b in self.pairs:
             c = LocElem(self.dset, self.elements["c_beta"][(a, b)])
             entries.append((f"P(c_{a}_{b})", self.projector.apply(c)))
         metadata = {

@@ -1,7 +1,9 @@
 """Locally nilpotent derivation engine.
 
-S-maps, composed projectors, the projector at a point, invariance
-verification and the Jacobian rank.  Everything here is exact;
+A Stage is a derivation with its slice and the witness the slice was
+built from; its s-map is the slice exponential.  A Projector composes
+stages over one denominator set.  Also here: the projector at a point,
+invariance verification and the Jacobian rank.  Everything is exact;
 local nilpotency is a runtime contract enforced by an iteration cap.
 """
 
@@ -135,31 +137,29 @@ class Derivation:
         return f"Derivation({self.label})"
 
 
-class SlicePair:
-    """Slice element q with D(q) = 1, with an optional witness (a1, a0),
-    D(a1) = a0, from which q = a1 / a0 was built.  A q with D(q) = -1 is
-    negated, together with a0."""
+class Stage:
+    """One stage of a projector: a derivation D with its slice q = a1 / a0,
+    where D(a1) = a0 and a0 is killed by D, and the witness (a1, a0).
 
-    def __init__(self, derivation, q, witness=None):
+    Raises ValueError, naming D, unless D(q) = 1 or -1; when D(q) = -1, q
+    and a0 are negated.  A scalar a0 divides through LocElem.__truediv__
+    and registers no denominator generator.
+    """
+
+    def __init__(self, derivation, a1, a0):
+        q = a1 / a0
         r = derivation.apply(q)
-        if r == LocElem.const(q.dset, -1):
-            q, r = -q, -r  # D is linear
-            if witness is not None:
-                a1, a0 = witness
-                witness = (a1, -a0)
-        if not r == LocElem.const(q.dset, 1):
-            raise ValueError(
-                f"D(q) != 1 for {derivation.label}: got {r}"
-            )
+        if r == -1:
+            q, r, a0 = -q, -r, -a0  # D is linear
+        if not r == 1:
+            raise ValueError(f"D(q) != 1 for {derivation.label}: got {r}")
+        self.derivation = derivation
         self.q = q
-        self.witness = witness
-
-    def __repr__(self):
-        return f"SlicePair({self.q})"
+        self.witness = (a1, a0)
 
 
-def smap(derivation, slice_pair, a):
-    """Slice exponential: sum_k (-1)^k D^k(a) q^k / k!.
+def smap(stage, a):
+    """Slice exponential of a stage: sum_k (-1)^k D^k(a) q^k / k!.
 
     The series is summed in Horner order.  D^0(a), ..., D^K(a) are
     computed first and held all at once; then r = D^K(a), and
@@ -176,9 +176,10 @@ def smap(derivation, slice_pair, a):
     k = 10 deg(a) + 16: the cap is the forward sum's, and it fires after
     the same 10 deg(a) + 17 Derivation.apply calls.
     """
+    derivation = stage.derivation
     if isinstance(a, Poly):
         a = LocElem(derivation.dset, a)
-    q = slice_pair.q
+    q = stage.q
     iter_cap = 10 * a.total_degree() + 16
     powers = [a]
     while True:
@@ -198,15 +199,14 @@ def smap(derivation, slice_pair, a):
 
 
 def apply_stages(stages, a):
-    """Composed s-maps of (Derivation, SlicePair) stages, the first stage
-    acting first."""
-    for d, s in stages:
-        a = smap(d, s, a)
+    """Composed s-maps of stages, the first stage acting first."""
+    for stage in stages:
+        a = smap(stage, a)
     return a
 
 
 class Projector:
-    """Ordered stages (Derivation, SlicePair) applied as composed S-maps.
+    """Stages over a denominator set, applied as composed S-maps.
 
     Stages are listed in application order: the first stage acts first.
     Construction verifies the triangular ledger: the derivation of each
@@ -214,21 +214,18 @@ class Projector:
     its own slice to 1.
     """
 
-    def __init__(self, stages, dset=None):
-        self.stages = list(stages)
-        if dset is None and self.stages:
-            dset = self.stages[0][0].dset
+    def __init__(self, dset, stages):
         self.dset = dset
+        self.stages = list(stages)
         self.check_triangularity()
 
     def check_triangularity(self):
-        for i, (d_i, _) in enumerate(self.stages):
-            for j, (_, s_j) in enumerate(self.stages):
-                if j < i:
-                    continue
+        for i, s_i in enumerate(self.stages):
+            d_i = s_i.derivation
+            for j, s_j in enumerate(self.stages[i:], i):
                 r = d_i.apply(s_j.q)
                 expected = 1 if i == j else 0
-                if not r == LocElem.const(s_j.q.dset, expected):
+                if not r == expected:
                     raise TriangularityError(
                         f"stage {i} ({d_i.label}) on slice of stage {j}: "
                         f"expected {expected}, got {r}"
@@ -250,11 +247,12 @@ class Projector:
         """
         point = dict(point)
         zero = dict.fromkeys(self.dset.vars, Fraction(0))
-        for d, s in reversed(self.stages):
+        for stage in reversed(self.stages):
+            d = stage.derivation
             images = d.images.items()
             if any(img.total_degree() > 1 for _, img in images):
                 raise ValueError(f"derivation {d.label} is not affine")
-            t = -s.q.evaluate(point)
+            t = -stage.q.evaluate(point)
             shift = {v: img.evaluate(zero) for v, img in images}
             term = {v: img.evaluate(point) for v, img in images}
             coef = Fraction(1)

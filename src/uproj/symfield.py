@@ -602,14 +602,6 @@ class Poly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(tuple(data["vars"]), terms)
-
 
 class DenominatorSet:
     """Declared multiplicative set: a growable list of generator polynomials.
@@ -872,12 +864,4 @@ class LocElem:
             {"gen_index": i, "power": e} for i, e in enumerate(self.den) if e
         ]
         return data
-
-    @classmethod
-    def from_json(cls, dset, data):
-        num = Poly.from_json(data)
-        den = [0] * len(dset)
-        for d in data.get("denom", ()):
-            den[d["gen_index"]] = d["power"]
-        return cls(dset, num, den)
 

@@ -8,8 +8,11 @@ by term, the reference for the Horner-order `projector.smap`, and
 `derivation_apply` the quotient rule one generator at a time, the
 reference for `Derivation.apply`; `is_root`
 is root-set membership, and `witnesses` lists the witness numerators of
-a projector's stages.  `mat_vec` and `mat_inv` are dense Fraction matrix
-arithmetic, which the library no longer carries.
+a projector's stages.  `orbit_rank` is the dimension of the U-orbit
+through a point, for the count certificate |G| = dim V - dim(orbit).
+`mat_vec` and `mat_inv` are dense Fraction matrix arithmetic, and
+`poly_from_json` and `locelem_from_json` read back what `to_json`
+writes; the library no longer carries them.
 """
 
 import random
@@ -50,7 +53,36 @@ def mat_inv(rows):
 
 def witnesses(projector):
     """The numerators a1 of the stage witnesses (a1, a0), in stage order."""
-    return [s.witness[0] for _, s in projector.stages if s.witness]
+    return [s.witness[0] for s in projector.stages]
+
+
+def poly_from_json(data):
+    """The Poly that a Poly.to_json object describes."""
+    terms = {
+        tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+        for t in data["terms"]
+    }
+    return Poly(tuple(data["vars"]), terms)
+
+
+def locelem_from_json(dset, data):
+    """The LocElem over dset that a LocElem.to_json object describes."""
+    den = [0] * len(dset)
+    for d in data.get("denom", ()):
+        den[d["gen_index"]] = d["power"]
+    return LocElem(dset, poly_from_json(data), den)
+
+
+def orbit_rank(derivations, dset, point):
+    """Dimension of the orbit through a point of the group whose Lie
+    algebra the derivations span: the rank of the vectors
+    (D(x_1), ..., D(x_n)) at the point."""
+    return linalg.rank(
+        [
+            [d.apply(LocElem.variable(dset, v)).evaluate(point) for v in dset.vars]
+            for d in derivations
+        ]
+    )
 
 
 def is_root(rs, v):
@@ -58,12 +90,14 @@ def is_root(rs, v):
     return tuple(v) in rs.roots
 
 
-def smap_forward(derivation, slice_pair, a):
-    """Slice exponential sum_k (-1)^k D^k(a) q^k / k!, added term by term
-    in increasing k, with the iteration cap of projector.smap."""
+def smap_forward(stage, a):
+    """Slice exponential sum_k (-1)^k D^k(a) q^k / k! of a stage, added
+    term by term in increasing k, with the iteration cap of
+    projector.smap."""
+    derivation = stage.derivation
     if isinstance(a, Poly):
         a = LocElem(derivation.dset, a)
-    q = slice_pair.q
+    q = stage.q
     iter_cap = 10 * a.total_degree() + 16
     result = a
     cur = a

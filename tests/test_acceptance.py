@@ -146,12 +146,13 @@ def test_criterion_06_triangularity_ledgers():
     total = 0
     for c in all_constructions():
         stages = c.projector.stages
-        for i, (di, spi) in enumerate(stages):
-            if di.apply(spi.q).constant_value() != 1:
+        for i, st in enumerate(stages):
+            di = st.derivation
+            if di.apply(st.q).constant_value() != 1:
                 ok = False
             for j in range(i + 1, len(stages)):
                 total += 1
-                if not di.apply(stages[j][1].q).is_zero():
+                if not di.apply(stages[j].q).is_zero():
                     ok = False
     report(6, f"triangularity D_s(Q_t)=0, D_s(Q_s)=1 over {total} pairs", ok)
 

@@ -11,7 +11,7 @@ from uproj.exprparse import parse_expression
 from uproj.projector import apply_stages, jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
 
-from oracles import casimir_element, killing_form
+from oracles import casimir_element, killing_form, orbit_rank
 
 SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]
 
@@ -133,22 +133,44 @@ def test_sl2_killing_values(basis_of):
 @pytest.mark.parametrize("series,rank", SYSTEMS)
 def test_stage_witnesses_and_slices(adjoint_of, series, rank):
     c = adjoint_of(series, rank)
-    for d, sp in c.projector.stages:
-        assert d.apply(sp.q).constant_value() == 1
-        if sp.witness is not None:
-            a1, a0 = sp.witness
-            assert d.apply(a1) == a0
+    for st in c.projector.stages:
+        d = st.derivation
+        assert d.apply(st.q).constant_value() == 1
+        a1, a0 = st.witness
+        assert d.apply(a1) == a0
 
 
 def test_q_accessors(adjoint_of):
     c = adjoint_of("A", 2)
     lv = c.cascade.levels[0]
-    d_xi, sp = c.levels[0].stages[0]
+    # the first level's stages, xi first, over the carried E_xi up to sign
+    level = c.projector.stages[: len(lv.gamma)]
+    d_xi = level[0].derivation
     assert d_xi.label == f"D_{c.basis.pos_symbol[lv.xi]}"
-    assert d_xi.apply(sp.q).constant_value() == 1
+    assert d_xi.apply(level[0].q).constant_value() == 1
+    e_xi = c.xi_elements[0]
+    assert all(st.witness[1] in (e_xi, -e_xi) for st in level)
     other = [a for a in lv.gamma if a != lv.xi][0]
-    labels = [d.label for d, _ in c.levels[0].stages[1:]]
+    labels = [st.derivation.label for st in level[1:]]
     assert f"D_{c.basis.pos_symbol[other]}" in labels
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)],
+)
+def test_count_is_dim_minus_orbit_dimension(adjoint_of, series, rank):
+    # the transcendence degree of the invariant field is dim V minus the
+    # generic U-orbit dimension (Rosenlicht), and ranks at one point are
+    # at most the generic ones: Jacobian rank = |G| = dim V - O(pt)
+    # certifies the count at the verify point
+    c = adjoint_of(series, rank)
+    b = c.basis
+    gs = c.generator_set(verify=False)
+    point = sample_regular_point(c.dset, random.Random(0))
+    family = [ad_derivation(b, c.dset, b.pos_symbol[r]) for r in b.rs.positive_roots]
+    assert jacobian_rank(c.dset, gs.elements, point) == len(gs)
+    assert len(gs) == len(c.dset.vars) - orbit_rank(family, c.dset, point)
 
 
 def test_cascade_denominators_are_invariant(adjoint_of):
@@ -279,8 +301,10 @@ def test_lift_through_a_level_is_its_s_maps(basis_of, series, rank):
         return apply_stages(stages, LocElem(c.dset, form))
 
     before, consumed = [], set()
-    for k, (lv, level) in enumerate(zip(c.cascade.levels, c.levels)):
-        through = before + level.stages
+    for k, lv in enumerate(c.cascade.levels):
+        # one stage for xi and one per paired root
+        level = c.projector.stages[len(before): len(before) + len(lv.gamma)]
+        through = before + level
         roots = [r for r in rs.positive_roots if r not in consumed]
         lifted = {
             basis.pos_symbol[r]: carry(before, {basis.pos_symbol[r]: 1})
@@ -296,7 +320,7 @@ def test_lift_through_a_level_is_its_s_maps(basis_of, series, rank):
         ]
         new_lifted, new_cartan_basis = _reference_lift(c, lv, lifted, cartan_basis)
         assert new_lifted == {
-            basis.pos_symbol[r]: apply_stages(level.stages, lifted[basis.pos_symbol[r]])
+            basis.pos_symbol[r]: apply_stages(level, lifted[basis.pos_symbol[r]])
             for r in roots
             if r not in lv.gamma
         }
@@ -304,11 +328,12 @@ def test_lift_through_a_level_is_its_s_maps(basis_of, series, rank):
             assert lift == carry(through, dict(zip(basis.cartan_symbols, vec)))
 
         lifts = [*new_lifted.values(), *(h for _, h in new_cartan_basis)]
-        lifts += [carry(level.stages, {v: 1}) for v in c.dset.vars]
-        for d, _ in level.stages:
+        lifts += [carry(level, {v: 1}) for v in c.dset.vars]
+        for st in level:
             for lift in lifts:
-                assert d.apply(lift).is_zero(), (lv.xi, d.label)
+                assert st.derivation.apply(lift).is_zero(), (lv.xi, st.derivation.label)
         before, consumed = through, consumed | set(lv.gamma)
+    assert before == c.projector.stages
 
 
 @pytest.mark.parametrize("series,rank,calls", [("A", 3, 10), ("D", 5, 148)])
@@ -329,10 +354,10 @@ def test_adjoint_construction_work_is_pinned(basis_of, monkeypatch, series, rank
 
 def _construction_digest(c):
     h = hashlib.sha256()
-    for d, sp in c.projector.stages:
-        h.update(d.label.encode())
-        h.update(json.dumps(sp.q.to_json(), sort_keys=True).encode())
-        witness = [w.to_json() for w in sp.witness] if sp.witness else None
+    for st in c.projector.stages:
+        h.update(st.derivation.label.encode())
+        h.update(json.dumps(st.q.to_json(), sort_keys=True).encode())
+        witness = [w.to_json() for w in st.witness]
         h.update(json.dumps(witness, sort_keys=True).encode())
     h.update(json.dumps(c.dset.to_json(), sort_keys=True).encode())
     h.update(

@@ -14,10 +14,10 @@ from uproj.genrep import (
     defining_rep,
     load_rep,
 )
-from uproj.projector import Projector
+from uproj.projector import Projector, jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
 
-from oracles import mat_vec
+from oracles import mat_vec, orbit_rank
 
 
 def generator_matrices(rep):
@@ -79,7 +79,7 @@ def test_sl3_defining_stage_projector_values(basis_of):
     rep = defining_rep(basis_of("A", 2))
     c = RepConstruction(rep)
     stage = c.stages[0]
-    p0 = Projector(stage.stages)
+    p0 = Projector(c.dset, stage.stages)
     y1 = LocElem(c.dset, Poly.variable(rep.variables, "y1"))
     y2 = LocElem(c.dset, Poly.variable(rep.variables, "y2"))
     y3 = LocElem(c.dset, Poly.variable(rep.variables, "y3"))
@@ -93,8 +93,8 @@ def test_sl3_defining_stage_projector_values(basis_of):
 def test_first_stage_data(basis_of):
     rep = defining_rep(basis_of("A", 1))
     st = RepConstruction(rep).stages[0]
-    assert st.index == 1
     assert str(st.denominator) == "y2"
+    assert [s.witness[1] for s in st.stages] == [st.denominator]
 
 
 def test_direct_sum_single_stage_sl2(basis_of):
@@ -245,10 +245,10 @@ def _rep_construction_digest(c):
         add(stage.lowest_form.to_json())
         add([list(a) for a in stage.m_roots])
         add(stage.denominator.to_json())
-        for d, sp in stage.stages:
-            h.update(d.label.encode())
-            add(sp.q.to_json())
-            add([w.to_json() for w in sp.witness])
+        for st in stage.stages:
+            h.update(st.derivation.label.encode())
+            add(st.q.to_json())
+            add([w.to_json() for w in st.witness])
     add(c.dset.to_json())
     return h.hexdigest()
 
@@ -301,6 +301,23 @@ def test_rep_construction_is_pinned(basis_of, name, series, rank, digest):
     # denominator and (label, q, witness), and the denominator set
     rep = _pinned_rep(basis_of, name, series, rank)
     assert _rep_construction_digest(RepConstruction(rep)) == digest
+
+
+@pytest.mark.parametrize(
+    "name,series,rank",
+    [(name, "A", rank) for name in ("def", "adj", "def+def", "def+adj") for rank in (1, 2, 3)]
+    + [("adj", "B", 2), ("adj", "G", 2)],
+)
+def test_count_is_dim_minus_orbit_dimension(basis_of, name, series, rank):
+    # Jacobian rank = |G| = dim V - O(pt) at the verify point certifies the
+    # count (see test_adjoint), on every input test_rep_construction_is_pinned
+    # pins
+    c = RepConstruction(_pinned_rep(basis_of, name, series, rank))
+    gs = c.generator_set(verify=False)
+    point = sample_regular_point(c.dset, random.Random(0))
+    family = [c._ambient_derivation(r) for r in c.rep.basis.rs.positive_roots]
+    assert jacobian_rank(c.dset, gs.elements, point) == len(gs)
+    assert len(gs) == len(c.dset.vars) - orbit_rank(family, c.dset, point)
 
 
 def test_rep_construction_work_is_pinned(basis_of, monkeypatch):

@@ -15,7 +15,7 @@ from uproj.groupconj import (
 from uproj.projector import jacobian_rank, sample_regular_point
 from uproj.symfield import LocElem, Poly
 
-from oracles import mat_inv
+from oracles import mat_inv, orbit_rank
 
 _conj_cache = {}
 
@@ -94,9 +94,10 @@ def test_corner_minors_are_bi_invariant():
 
 def test_slice_pairing_n2():
     c = conj_of(2)
-    st = next(st for st in c.stages if st.pair == (1, 2))
-    assert st.nu == 1
-    num, den = st.slice_pair.witness
+    (st,) = c.projector.stages
+    assert st.derivation.label == "D_s_1_2"
+    num, den = st.witness
+    assert den == c.d[0]
     assert st.derivation.apply(num) == den
     # D_E(d_1) = 0 for n = 2: d_1 = s_2_1 is invariant
     d1 = LocElem(c.dset, c.elements["d"][0])
@@ -105,11 +106,12 @@ def test_slice_pairing_n2():
 
 def test_stage_triangularity_exhaustive_n3():
     c = conj_of(3)
-    flat = [(st.derivation, st.slice_pair) for st in reversed(c.stages)]
-    for i, (di, spi) in enumerate(flat):
-        assert di.apply(spi.q).constant_value() == 1
+    flat = c.projector.stages
+    for i, st in enumerate(flat):
+        di = st.derivation
+        assert di.apply(st.q).constant_value() == 1
         for j in range(i + 1, len(flat)):
-            assert di.apply(flat[j][1].q).is_zero()
+            assert di.apply(flat[j].q).is_zero()
 
 
 def test_n2_exact_generator_set():
@@ -168,11 +170,10 @@ def test_projector_is_identity_on_big_cell_points():
                 b[i][j] = Fraction(rng.randint(-5, 5))
         s = linalg.mat_mul(w0, b)
         pt = point_of_matrix(n, s)
-        for st in c.stages:
-            num, _ = st.slice_pair.witness
+        for st in c.projector.stages:
+            num, _ = st.witness
             assert num.evaluate(pt) == 0
-        for st in c.stages:
-            a, bb = st.pair
+        for a, bb in c.pairs:
             raw = LocElem(c.dset, c.elements["c_beta"][(a, bb)])
             projected = dict(gs.entries)[f"P(c_{a}_{bb})"]
             assert projected.evaluate(pt) == raw.evaluate(pt)
@@ -216,9 +217,40 @@ def test_char_poly_coefficients_are_fixed_and_trace_in_span():
 def test_stage_of_by_root_coefficients():
     # for n = 2 the one stage is the pair (1, 2)
     c = conj_of(2)
-    sp = next(st for st in c.stages if st.pair == (1, 2)).slice_pair
-    num, den = sp.witness
+    (st,) = c.projector.stages
+    assert st.derivation.label == "D_s_1_2"
+    num, den = st.witness
     assert str(den) == "s_2_1"
+
+
+def test_stage_denominators_are_the_corner_minors():
+    # the stages run from the largest root down, and the slice of e_a - e_b
+    # is d_beta / d_nu with nu = n - b + 1
+    n = 4
+    c = conj_of(n)
+    stages = c.projector.stages
+    assert [st.derivation.label for st in stages] == [
+        f"D_s_{a}_{b}" for a, b in reversed(c.pairs)
+    ]
+    for (a, b), st in zip(reversed(c.pairs), stages):
+        num, den = st.witness
+        assert num == LocElem(c.dset, c.elements["d_beta"][(a, b)])
+        assert den == c.d[n - b]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_count_is_dim_minus_one_minus_orbit_dimension(n):
+    # on SL_n, det = 1 is the one relation: Jacobian rank = |G| =
+    # dim V - 1 - O(pt) certifies the count (see test_adjoint).  det is a
+    # U-invariant outside the set, so adding it raises the rank by one
+    c = conj_of(n)
+    gs = c.generator_set(verify=False)
+    point = sample_regular_point(c.dset, random.Random(0))
+    family = [conj_derivation(c.dset, a, b) for a, b in c.pairs]
+    assert jacobian_rank(c.dset, gs.elements, point) == len(gs)
+    assert len(gs) == len(c.dset.vars) - 1 - orbit_rank(family, c.dset, point)
+    det = LocElem(c.dset, minor(c.variables, range(1, n + 1), range(1, n + 1)))
+    assert jacobian_rank(c.dset, gs.elements + [det], point) == len(gs) + 1
 
 
 def test_conj_derivation_matches_commutator():

@@ -1,11 +1,13 @@
 """Source checks over the library modules."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "uproj"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uproj"
 
 
 def _raises_assertion_error(node):
@@ -161,3 +163,26 @@ def test_s_map_engine_builds_no_constant_factors():
         and _referenced_name(node.func.value) == "Poly"
     ]
     assert not found, f"Poly.const called in the s-map engine at {found}"
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each (module, owner, attribute) of its
+    # TARGETS by name, and a target that was moved or deleted shows only as
+    # a KeyError when a traced sample installs the tracer.  TARGETS is read
+    # from the source, so the tracer is neither imported nor changed
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [_referenced_name(t) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    missing = []
+    for _prefix, modname, owner, attr in targets:
+        scope = vars(importlib.import_module(f"uproj.{modname}"))
+        if owner is not None:
+            scope = vars(scope[owner]) if owner in scope else {}
+        if attr not in scope:
+            missing.append(".".join(filter(None, (modname, owner, attr))))
+    assert not missing, f"tracer targets missing from uproj: {missing}"

@@ -15,7 +15,7 @@ from uproj.projector import (
     Derivation,
     NotLocallyNilpotent,
     Projector,
-    SlicePair,
+    Stage,
     TriangularityError,
     jacobian_rank,
     sample_regular_point,
@@ -58,18 +58,18 @@ def test_smap_projects_onto_kernel():
     d = ddx(dset)
     x = LocElem.variable(dset, "x")
     y = LocElem.variable(dset, "y")
-    sp = SlicePair(d, x)
-    assert smap(d, sp, x).is_zero()
-    assert smap(d, sp, y) == y
-    assert smap(d, sp, x * x + y) == y
-    assert smap(d, sp, (x + y) ** 3) == y ** 3
+    st = Stage(d, x, 1)
+    assert smap(st, x).is_zero()
+    assert smap(st, y) == y
+    assert smap(st, x * x + y) == y
+    assert smap(st, (x + y) ** 3) == y ** 3
 
 
 def test_smap_is_a_ring_homomorphism():
     dset = make_dset()
     d = ddx(dset)
     x = LocElem.variable(dset, "x")
-    sp = SlicePair(d, x)
+    st = Stage(d, x, 1)
     rng = random.Random(4)
 
     def rand_elem():
@@ -81,8 +81,8 @@ def test_smap_is_a_ring_homomorphism():
 
     for _ in range(15):
         a, b = rand_elem(), rand_elem()
-        assert smap(d, sp, a * b) == smap(d, sp, a) * smap(d, sp, b)
-        assert smap(d, sp, a + b) == smap(d, sp, a) + smap(d, sp, b)
+        assert smap(st, a * b) == smap(st, a) * smap(st, b)
+        assert smap(st, a + b) == smap(st, a) + smap(st, b)
 
 
 def test_projector_composes_stages():
@@ -92,7 +92,7 @@ def test_projector_composes_stages():
     y = LocElem.variable(dset, "y")
     z = LocElem.variable(dset, "z")
     # dx kills the later slice y, so (dx then dy) is triangular
-    p = Projector([(dx, SlicePair(dx, x)), (dy, SlicePair(dy, y))], dset=dset)
+    p = Projector(dset, [Stage(dx, x, 1), Stage(dy, y, 1)])
     assert p.apply(x).is_zero()
     assert p.apply(y).is_zero()
     assert p.apply(z + x * y) == z
@@ -111,9 +111,9 @@ def test_not_locally_nilpotent_raises_at_the_cap():
         label="d/dx + y d/dy",
     )
     y = LocElem.variable(dset, "y")
-    sp = SlicePair(d, LocElem.variable(dset, "x"))
-    p = Projector([(d, sp)], dset=dset)
-    for project in (lambda a: smap(d, sp, a), p.apply):
+    st = Stage(d, LocElem.variable(dset, "x"), 1)
+    p = Projector(dset, [st])
+    for project in (lambda a: smap(st, a), p.apply):
         with pytest.raises(NotLocallyNilpotent, match=r"d/dx \+ y d/dy"):
             project(y)
     # deg(y) = 1 gives the cap 26: D^26(y) is still accepted and the
@@ -125,7 +125,7 @@ def test_not_locally_nilpotent_raises_at_the_cap():
     for series in (smap, smap_forward):
         calls.clear()
         with pytest.raises(NotLocallyNilpotent) as err:
-            series(d, sp, y)
+            series(st, y)
         assert str(err.value) == message
         assert len(calls) == 10 * y.total_degree() + 16 + 1 == 27
 
@@ -142,10 +142,10 @@ def assert_same_as_forward(projector, a):
     by smap_forward; the reduced normal forms must serialise to the same
     bytes."""
     expected = a
-    for d, s in projector.stages:
-        got = smap(d, s, expected)
-        expected = smap_forward(d, s, expected)
-        assert json_bytes(got) == json_bytes(expected), d.label
+    for st in projector.stages:
+        got = smap(st, expected)
+        expected = smap_forward(st, expected)
+        assert json_bytes(got) == json_bytes(expected), st.derivation.label
     assert json_bytes(projector.apply(a)) == json_bytes(expected)
 
 
@@ -198,23 +198,47 @@ def test_triangularity_violation_detected():
     x = LocElem.variable(dset, "x")
     bad_q = LocElem.variable(dset, "y") + x  # dx does not kill it
     with pytest.raises(TriangularityError):
-        Projector([(dx, SlicePair(dx, x)), (dy, SlicePair(dy, bad_q))], dset=dset)
+        Projector(dset, [Stage(dx, x, 1), Stage(dy, bad_q, 1)])
 
 
 def test_slice_pair_requires_unit_image():
-    dset = make_dset()
-    dx = ddx(dset)
-    y = LocElem.variable(dset, "y")
-    with pytest.raises(ValueError):
-        SlicePair(dx, y)
-
-
-def test_slice_pair_sign_normalization():
+    # D(q) must be 1 or -1; the error names the derivation
     dset = make_dset()
     dx = ddx(dset)
     x = LocElem.variable(dset, "x")
-    sp = SlicePair(dx, -x)
-    assert dx.apply(sp.q).constant_value() == 1
+    y = LocElem.variable(dset, "y")
+    for a1, a0 in ((y, 1), (x * 2, 1), (x * y, y * 3)):
+        with pytest.raises(ValueError, match="d/dx"):
+            Stage(dx, a1, a0)
+
+
+def test_slice_pair_sign_normalization():
+    # D(q) = -1: q and a0 are negated, a1 is kept
+    dset = make_dset()
+    dx = ddx(dset)
+    x = LocElem.variable(dset, "x")
+    y = LocElem.variable(dset, "y")
+    st = Stage(dx, -x, 1)
+    assert dx.apply(st.q).constant_value() == 1
+    assert st.q == x and st.witness == (-x, -1)
+    st = Stage(dx, -x * y, y)
+    assert st.q == x
+    a1, a0 = st.witness
+    assert a1 == -x * y and a0 == -y
+    assert dx.apply(a1) == a0
+
+
+def test_stage_over_a_scalar_registers_no_generator():
+    # a scalar a0 divides through LocElem.__truediv__; an element a0 is
+    # inverted, which registers its numerator
+    dset = make_dset()
+    dx = ddx(dset)
+    x = LocElem.variable(dset, "x")
+    y = LocElem.variable(dset, "y")
+    st = Stage(dx, x * 3, 3)
+    assert st.q == x and len(dset) == 0
+    st = Stage(dx, x * y, y)
+    assert st.q == x and len(dset) == 1
 
 
 def test_verify_invariance_report():
@@ -254,8 +278,7 @@ def test_cross_section_check_toy():
     x = LocElem.variable(dset, "x")
     y = LocElem.variable(dset, "y")
     z = LocElem.variable(dset, "z")
-    p = Projector([(dx, SlicePair(dx, x, witness=(x, LocElem.const(dset, 1))))],
-                  dset=dset)
+    p = Projector(dset, [Stage(dx, x, 1)])
     report = cross_section_check(p, [y, z], trials=5, seed=1)
     assert all(c["status"] != "fail" for c in report["checks"])
     identity = [c for c in report["checks"] if c["name"].startswith("res_identity")]
@@ -266,7 +289,7 @@ def test_cross_section_check_fails_on_a_wrong_projection(monkeypatch):
     dset = make_dset()
     dx = ddx(dset)
     x = LocElem.variable(dset, "x")
-    p = Projector([(dx, SlicePair(dx, x))], dset=dset)
+    p = Projector(dset, [Stage(dx, x, 1)])
     apply = Projector.apply
     monkeypatch.setattr(Projector, "apply", lambda self, a: apply(self, a) + 1)
     report = cross_section_check(p, [LocElem.variable(dset, "y")], trials=3)
@@ -522,12 +545,12 @@ def test_image_point_rejects_what_is_not_a_flow():
     one = Poly.const(VARS, 1)
     pt = {"x": Fraction(2), "y": Fraction(3), "z": Fraction(5)}
     quadratic = Derivation(dset, {"x": one, "y": x * x}, label="quadratic")
-    p = Projector([(quadratic, SlicePair(quadratic, LocElem(dset, x)))], dset=dset)
+    p = Projector(dset, [Stage(quadratic, LocElem(dset, x), 1)])
     with pytest.raises(ValueError, match="quadratic"):
         p.image_point(pt)
     # d/dx + y d/dy: the linear part y d/dy is not nilpotent
     scaling = Derivation(dset, {"x": one, "y": y}, label="d/dx + y d/dy")
-    p = Projector([(scaling, SlicePair(scaling, LocElem(dset, x)))], dset=dset)
+    p = Projector(dset, [Stage(scaling, LocElem(dset, x), 1)])
     with pytest.raises(NotLocallyNilpotent, match=r"d/dx \+ y d/dy"):
         p.image_point(pt)
 

@@ -15,6 +15,8 @@ from uproj.symfield import (
     UniverseMismatch,
 )
 
+from oracles import locelem_from_json, poly_from_json
+
 VARS = ("x", "y", "z")
 
 
@@ -109,7 +111,7 @@ def test_poly_json_roundtrip():
     rng = random.Random(15)
     for _ in range(10):
         p = rand_poly(rng)
-        assert Poly.from_json(p.to_json()) == p
+        assert poly_from_json(p.to_json()) == p
 
 
 def test_locelem_inverse_and_cancellation():
@@ -163,7 +165,7 @@ def test_locelem_json_roundtrip():
     y = LocElem.variable(dset, "y")
     a = (y + x * x) * x.inverse()
     data = a.to_json()
-    assert LocElem.from_json(dset, data) == a
+    assert locelem_from_json(dset, data) == a
 
 
 def test_locelem_scalar_multiple_is_reduced():
@@ -381,7 +383,7 @@ def test_terms_view_and_json_round_trip():
         with pytest.raises(TypeError):
             view[(0, 0, 0)] = Fraction(1)
         assert p.terms is view
-        back = Poly.from_json(p.to_json())
+        back = poly_from_json(p.to_json())
         assert back == p and hash(back) == hash(p)
         assert_normal(back)
         assert (back._num, back._den) == (p._num, p._den)
