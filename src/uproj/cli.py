@@ -16,7 +16,10 @@ random regular point of the Jacobian rank check; no other step is
 randomized, so repeated runs with the same arguments produce
 byte-identical JSON.
 Exit codes: 0 success, 2 invalid input, 3 verification failure, 4 out of
-memory ("error: out of memory" on stderr, nothing on stdout).
+memory ("error: out of memory" on stderr, nothing on stdout).  Commands
+raise, and only `main` turns an exception into an exit code: any invalid
+input, including a degree bound reached while checking, exits 2 with one
+"error: ..." line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import time
 
 from .adjoint import AdjointConstruction
 from .exprparse import ParseError, parse_expression
-from .genrep import RepConstruction, RepValidationError, load_rep
+from .genrep import RepConstruction, load_rep
 from .groupconj import ConjugationConstruction
 from .liealg import chevalley_constants
 from .linalg import read_rational
 from .projector import verify_invariance
-from .rootsystem import InvalidDynkinDatum, build_root_system, kostant_cascade
-from .symfield import DegreeBoundError, SingularPointError
+from .rootsystem import build_root_system, kostant_cascade
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -52,61 +54,47 @@ def _emit(payload, fmt, text_lines=None, elapsed=None):
             print(f"elapsed: {elapsed:.3f}s")
 
 
-def cmd_cascade(args):
+def _json(text, what):
     try:
-        if args.type is None or args.rank is None:
-            raise InvalidDynkinDatum("--type and --rank are required")
-        rs = build_root_system(args.type, args.rank)
-    except InvalidDynkinDatum as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    cascade = kostant_cascade(rs)
-    payload = cascade.to_json()
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
+def _root_system(args):
+    if args.type is None or args.rank is None:
+        raise ValueError("--type and --rank are required")
+    return build_root_system(args.type, args.rank)
+
+
+def cmd_cascade(args):
+    cascade = kostant_cascade(_root_system(args))
     lines = [
         f"cascade of {args.type}{args.rank}: {len(cascade.entries)} roots"
     ]
     for i, xi in enumerate(cascade.entries):
         lines.append(f"  xi_{i + 1} = {list(xi)}")
-    _emit(payload, args.format, lines)
+    _emit(cascade.to_json(), args.format, lines)
     return EXIT_OK
 
 
-def _generator_payload(gs, elapsed, fmt):
-    payload = gs.to_json()
-    lines = [f"{len(gs)} generators"]
-    for name, elem in gs.entries:
-        lines.append(f"  {name} = {elem}")
-    lines.append(
-        "verification: "
-        + ("all checks pass" if gs.all_verified() else "FAILED checks present")
-    )
-    _emit(payload, fmt, lines, elapsed=elapsed)
-    return EXIT_OK if gs.all_verified() else EXIT_UNVERIFIED
-
-
 def _adjoint(args):
-    if args.type is None or args.rank is None:
-        raise InvalidDynkinDatum("--type and --rank are required")
-    basis = chevalley_constants(build_root_system(args.type, args.rank))
-    return AdjointConstruction(basis)
+    return AdjointConstruction(chevalley_constants(_root_system(args)))
 
 
 def _conj(args):
     if args.n is None:
-        raise InvalidDynkinDatum("--n is required")
+        raise ValueError("--n is required")
     if args.n < 2:
-        raise InvalidDynkinDatum(f"--n must be at least 2, got {args.n}")
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     return ConjugationConstruction(args.n)
 
 
 def _rep(args):
     if args.file is None:
-        raise InvalidDynkinDatum("--file is required")
+        raise ValueError("--file is required")
     with open(args.file) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{args.file} is nested too deeply") from None
+        data = _json(fh.read(), args.file)
     return RepConstruction(load_rep(data))
 
 
@@ -116,27 +104,32 @@ PIPELINE_OPTIONS = {"adjoint": ("type", "rank"), "conj": ("n",), "rep": ("file",
 
 
 def _reject_unread(args, kind, names):
-    """Raise InvalidDynkinDatum on the first of the options `names` that is
-    given but not read by the pipeline `kind`."""
+    """Raise ValueError on the first of the options `names` that is given
+    but not read by the pipeline `kind`."""
     for name in names:
         if getattr(args, name) is not None and name not in PIPELINE_OPTIONS[kind]:
-            raise InvalidDynkinDatum(f"{kind} does not read --{name}")
+            raise ValueError(f"{kind} does not read --{name}")
 
 
 def cmd_generators(args):
     t0 = time.monotonic()
-    try:
-        _reject_unread(args, args.kind, ("type", "rank", "n", "file"))
-        gs = BUILDERS[args.kind](args).generator_set(seed=args.seed)
-    except (InvalidDynkinDatum, RepValidationError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    return _generator_payload(gs, time.monotonic() - t0, args.format)
+    _reject_unread(args, args.kind, ("type", "rank", "n", "file"))
+    gs = BUILDERS[args.kind](args).generator_set(seed=args.seed)
+    elapsed = time.monotonic() - t0
+    lines = [f"{len(gs)} generators"]
+    for name, elem in gs.entries:
+        lines.append(f"  {name} = {elem}")
+    lines.append(
+        "verification: "
+        + ("all checks pass" if gs.all_verified() else "FAILED checks present")
+    )
+    _emit(gs.to_json(), args.format, lines, elapsed=elapsed)
+    return EXIT_OK if gs.all_verified() else EXIT_UNVERIFIED
 
 
 def _verify_universe(args):
     if args.n is None and (args.type is None or args.rank is None):
-        raise InvalidDynkinDatum("--type and --rank (or --n) are required")
+        raise ValueError("--type and --rank (or --n) are required")
     kind = "conj" if args.n is not None else "adjoint"
     _reject_unread(args, kind, ("type", "rank"))
     c = BUILDERS[kind](args)
@@ -144,33 +137,23 @@ def _verify_universe(args):
 
 
 def cmd_verify(args):
-    try:
-        if args.expr and args.file:
-            raise InvalidDynkinDatum("verify reads --expr or --file, not both")
-        dset, family = _verify_universe(args)
-    except InvalidDynkinDatum as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.expr and args.file:
+        raise ValueError("verify reads --expr or --file, not both")
+    dset, family = _verify_universe(args)
     if args.expr:
-        sources = list(args.expr)
+        sources = args.expr
     elif args.file:
-        try:
-            with open(args.file) as fh:
-                sources = [ln.strip() for ln in fh if ln.strip()]
-        except (OSError, UnicodeDecodeError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INVALID
+        with open(args.file) as fh:
+            sources = [ln.strip() for ln in fh if ln.strip()]
     else:
-        print("error: provide --expr or --file", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("provide --expr or --file")
     results = []
     ok = True
     for src in sources:
         try:
             elem = parse_expression(src, dset)
-        except (ParseError, DegreeBoundError) as e:
-            print(f"error: cannot parse {src!r}: {e}", file=sys.stderr)
-            return EXIT_INVALID
+        except ValueError as e:
+            raise ParseError(f"cannot parse {src!r}: {e}") from None
         report = verify_invariance(elem, family)
         verdict = all(c["status"] == "pass" for c in report["checks"])
         ok = ok and verdict
@@ -188,29 +171,22 @@ def cmd_verify(args):
 
 
 def cmd_eval(args):
-    try:
-        dset, _family = _verify_universe(args)
-        elem = parse_expression(args.expr, dset)
-        try:
-            point = json.loads(args.point)
-        except RecursionError:
-            raise ValueError("--point is nested too deeply") from None
-        if not isinstance(point, dict):
-            raise ValueError("--point must be a JSON object")
-        for k in point:
-            if k not in dset.vars:
-                raise ValueError(f"--point has an unknown variable {k!r}")
-        values = {k: read_rational(v) for k, v in point.items()}
-        # a variable outside the numerator and the denominator generators
-        # in use has exponent 0 in every term, so any value will do for it
-        used = [elem.num] + [g for g, e in zip(dset.gens, elem.den) if e]
-        for i, v in enumerate(dset.vars):
-            if v not in values and any(e[i] for p in used for e in p.terms):
-                raise ValueError(f"--point has no value for {v!r}")
-        value = elem.evaluate({**dict.fromkeys(dset.vars, 0), **values})
-    except (InvalidDynkinDatum, ParseError, SingularPointError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    dset, _family = _verify_universe(args)
+    elem = parse_expression(args.expr, dset)
+    point = _json(args.point, "--point")
+    if not isinstance(point, dict):
+        raise ValueError("--point must be a JSON object")
+    for k in point:
+        if k not in dset.vars:
+            raise ValueError(f"--point has an unknown variable {k!r}")
+    values = {k: read_rational(v) for k, v in point.items()}
+    # a variable outside the numerator and the denominator generators
+    # in use has exponent 0 in every term, so any value will do for it
+    used = [elem.num] + [g for g, e in zip(dset.gens, elem.den) if e]
+    for i, v in enumerate(dset.vars):
+        if v not in values and any(e[i] for p in used for e in p.terms):
+            raise ValueError(f"--point has no value for {v!r}")
+    value = elem.evaluate({**dict.fromkeys(dset.vars, 0), **values})
     payload = {
         "expression": args.expr,
         "value": {"num": str(value.numerator), "den": str(value.denominator)},
@@ -261,6 +237,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
     except MemoryError:
         pass
     # reported once the handler has dropped the exception, and with it the

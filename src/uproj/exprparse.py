@@ -132,10 +132,11 @@ def parse_expression(text, dset):
 
     `/` and negative powers invert their operand with LocElem.inverse,
     which registers its numerator into `dset` as a new generator unless
-    it is one already.  A construction's `dset` is shared by everything
-    built on it: parsing "1/(E_01 + H1)" into the adjoint A2 set adds a
-    second generator, and a later sample_regular_point on that set then
-    also avoids the zeros of E_01 + H1, so it can draw another point.
+    it is one already; a nonzero constant divisor registers nothing.  A
+    construction's `dset` is shared by everything built on it: parsing
+    "1/(E_01 + H1)" into the adjoint A2 set adds a second generator, and
+    a later sample_regular_point on that set then also avoids the zeros
+    of E_01 + H1, so it can draw another point.
     """
     tokens = tokenize(text)
     if not tokens:

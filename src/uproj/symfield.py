@@ -26,7 +26,7 @@ Every exponent fits its field while the total degree is at most
 MAX_DEGREE = c = 32767.  An operation whose result could pass that bound
 raises DegreeBoundError; a field never wraps.  Exponent tuples appear only
 at the edges: the {exp: rational} constructor, the read-only
-{exp: Fraction} view `terms`, `sorted_terms`, `leading`, JSON and text.
+{exp: Fraction} view `terms`, `sorted_terms`, JSON and text.
 
 Localized elements (LocElem) carry a polynomial numerator and a formal
 monomial denominator over a declared multiplicative set of generator
@@ -244,12 +244,6 @@ class Poly:
             return 0
         return max(self._num) >> self._pk.shift
 
-    def coefficient_of(self, name):
-        """Coefficient of the plain variable term (degree-one monomial)."""
-        pk = self._pk
-        key = pk.base + pk.units[pk.vars.index(name)]
-        return Fraction(self._num.get(key, 0), self._den)
-
     def _check(self, other):
         if self._pk is not other._pk:
             raise UniverseMismatch(
@@ -465,13 +459,6 @@ class Poly:
         return [
             (unpack(k), Fraction(num[k], den)) for k in sorted(num, reverse=True)
         ]
-
-    def leading(self):
-        """Leading (exp, coeff) in grevlex order; None for the zero poly."""
-        if not self._num:
-            return None
-        key = max(self._num)
-        return self._pk.unpack(key), Fraction(self._num[key], self._den)
 
     def content_and_primitive(self):
         """Write self = c * p with p having integer coprime coefficients
@@ -786,9 +773,12 @@ class LocElem:
 
     def inverse(self):
         """Invert by registering the (primitive part of the) numerator as a
-        denominator generator."""
+        denominator generator; a constant numerator c registers nothing,
+        the inverse is the denominator polynomial over c."""
         if self.num.is_zero():
             raise ZeroDivisionError("cannot invert zero")
+        if self.num.is_constant():
+            return LocElem(self.dset, self.den_poly() * (1 / self.num.constant_value()))
         idx, content = self.dset.register(self.num)
         den = [0] * (idx + 1)
         den[idx] = 1

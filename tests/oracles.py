@@ -10,9 +10,10 @@ reference for `Derivation.apply`; `is_root`
 is root-set membership, and `witnesses` lists the witness numerators of
 a projector's stages.  `orbit_rank` is the dimension of the U-orbit
 through a point, for the count certificate |G| = dim V - dim(orbit).
-`mat_vec` and `mat_inv` are dense Fraction matrix arithmetic, and
+`mat_vec` and `mat_inv` are dense Fraction matrix arithmetic,
 `poly_from_json` and `locelem_from_json` read back what `to_json`
-writes; the library no longer carries them.
+writes, and `leading` and `coefficient_of` read one term of a Poly; the
+library no longer carries them.
 """
 
 import random
@@ -63,6 +64,17 @@ def poly_from_json(data):
         for t in data["terms"]
     }
     return Poly(tuple(data["vars"]), terms)
+
+
+def leading(p):
+    """The leading (exp, coeff) of a Poly in grevlex order; None for zero."""
+    terms = p.sorted_terms()
+    return terms[0] if terms else None
+
+
+def coefficient_of(p, name):
+    """The coefficient of the degree-one monomial `name` in a Poly."""
+    return p.terms.get(tuple(int(v == name) for v in p.vars), Fraction(0))
 
 
 def locelem_from_json(dset, data):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,22 @@ def test_criterion_09_cross_section_machinery():
             if not cons.projector.apply(a1).is_zero():
                 ok = False
     report(9, "cross-section identity and P(witness)=0 everywhere", ok)
+
+
+def test_criterion_09_after_parsing_into_the_shared_sl2():
+    # test_sl2_exact_generator_set parses 1/4*H1^2*E_1^-1 into the cached
+    # A1 construction; dividing by 4 must register no generator there, or
+    # the cross-section check's Jacobian rank falls one short.  A process
+    # of its own runs the two tests in that order
+    tests = Path(__file__).resolve().parent
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_adjoint.py'}::test_sl2_exact_generator_set",
+         f"{tests / 'test_acceptance.py'}::test_criterion_09_cross_section_machinery"],
+        capture_output=True, text=True, timeout=300, cwd=tests.parent,
+    )
+    assert r.returncode == 0, r.stdout[-3000:]
+    assert "2 passed" in r.stdout
 
 
 def test_criterion_10_determinism():

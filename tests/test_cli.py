@@ -17,10 +17,11 @@ except ImportError:  # pragma: no cover
 from uproj import cli, genset
 from uproj.adjoint import AdjointConstruction
 from uproj.exprparse import ParseError, parse_expression
+from uproj.groupconj import ConjugationConstruction
 from uproj.liealg import chevalley_constants
 from uproj.projector import sample_regular_point
 from uproj.rootsystem import build_root_system
-from uproj.symfield import DenominatorSet
+from uproj.symfield import DenominatorSet, LocElem
 
 
 def run_cli(*argv, timeout=600):
@@ -83,6 +84,18 @@ def test_parse_expression_registers_divisors_into_the_shared_set():
     parse_expression("1/(E_01 + H1)", c.dset)
     assert len(c.dset) == 2
     assert sample_regular_point(c.dset, random.Random(9)) != before
+
+
+def test_parse_expression_constant_divisor_registers_nothing():
+    c = ConjugationConstruction(2)
+    before = list(c.dset.gens)
+    s = parse_expression("s_2_1", c.dset)
+    assert parse_expression("s_2_1/2", c.dset) == s * Fraction(1, 2)
+    assert c.dset.gens == before
+    # the inverse of 3/s_2_1 is the denominator over 3
+    assert parse_expression("(3*s_2_1^-1)^-1", c.dset) == s * Fraction(1, 3)
+    assert parse_expression("2^-2", c.dset) == LocElem.const(c.dset, Fraction(1, 4))
+    assert c.dset.gens == before
 
 
 # -- cascade ------------------------------------------------------------
@@ -270,6 +283,9 @@ REP_FILE = "<rep file>"
           "--expr", "E_1^16384*F_1^16384"), None, "bound 32767"),
         (("eval", "--type", "A", "--rank", "1", "--expr", "H1^32768",
           "--point", '{"H1": "1"}'), None, "bound 32767"),
+        # parses, then passes the bound in the quotient rule of the check
+        (("verify", "--type", "A", "--rank", "1",
+          "--expr", "H1^32767/(H1+F_1)"), None, "bound 32767"),
         (("verify", "--type", "A", "--rank", "1", "--file", REP_FILE),
          b"E_1\n\xff\xfe\n", "codec can't decode"),
         (("generators", "rep", "--file", REP_FILE), b"\xff\xfe",
@@ -312,6 +328,7 @@ REP_FILE = "<rep file>"
          "rep-exponent", "point-missing-variable",
          "point-missing-denominator-variable", "verify-degree-bound",
          "verify-product-degree-bound", "eval-degree-bound",
+         "verify-residue-degree-bound",
          "verify-file-not-utf8", "rep-file-not-utf8", "adjoint-n",
          "adjoint-file", "conj-type", "conj-rank", "rep-rank", "rep-n",
          "eval-n-type", "verify-n-rank", "verify-expr-file",
@@ -328,6 +345,7 @@ def test_invalid_input_exits_2(tmp_path, argv, rep_data, message):
     assert r.returncode == 2
     assert message in r.stderr
     assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_generators_text_format():

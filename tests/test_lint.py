@@ -186,3 +186,22 @@ def test_tracer_targets_resolve():
         if attr not in scope:
             missing.append(".".join(filter(None, (modname, owner, attr))))
     assert not missing, f"tracer targets missing from uproj: {missing}"
+
+
+def test_only_cli_main_maps_errors_to_exit_codes():
+    # commands raise, and main alone turns ValueError and OSError into
+    # exit 2 and MemoryError into exit 4; a handler of its own in a
+    # command would be a second policy that can drift from the first
+    policy = {"EXIT_INVALID", "EXIT_OUT_OF_MEMORY", "stderr"}
+    in_main, found = set(), []
+    for func in ast.parse((SRC / "cli.py").read_text()).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (name := _referenced_name(node)) in policy:
+                if func.name == "main":
+                    in_main.add(name)
+                else:
+                    found.append(f"cli.py:{node.lineno} {func.name} reads {name}")
+    assert in_main == policy
+    assert not found, f"exit codes or stderr outside main at {found}"

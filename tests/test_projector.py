@@ -34,7 +34,13 @@ from uproj.symfield import (
 )
 
 from conftest import get_adjoint
-from oracles import cross_section_check, derivation_apply, smap_forward, witnesses
+from oracles import (
+    coefficient_of,
+    cross_section_check,
+    derivation_apply,
+    smap_forward,
+    witnesses,
+)
 from test_acceptance import rand_poly as criterion_poly
 
 VARS = ("x", "y", "z")
@@ -580,10 +586,10 @@ def projected_sources(c):
             for (a, b), m in c.elements["c_beta"].items()
         }
     # rep: the final forms independent of the lowest forms, in order
-    rows = [[s.lowest_form.coefficient_of(v) for v in dset.vars] for s in c.stages]
+    rows = [[coefficient_of(s.lowest_form, v) for v in dset.vars] for s in c.stages]
     out = {}
     for f in c.final_forms:
-        row = [f.coefficient_of(v) for v in dset.vars]
+        row = [coefficient_of(f, v) for v in dset.vars]
         if linalg.rank(rows + [row]) > linalg.rank(rows):
             rows.append(row)
             out[f"P(f{len(out) + 1})"] = LocElem(dset, f)
