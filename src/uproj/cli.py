@@ -54,6 +54,19 @@ def _emit(payload, fmt, text_lines=None, elapsed=None):
             print(f"elapsed: {elapsed:.3f}s")
 
 
+class _ExactDigits:
+    """Lifts Python's limit on the digits of an int written as text, while
+    a command writes its result: an exact value may have more digits than
+    any input may, and input parsing keeps the limit."""
+
+    def __enter__(self):
+        self.limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        sys.set_int_max_str_digits(self.limit)
+
+
 def _json(text, what):
     try:
         return json.loads(text)
@@ -116,14 +129,15 @@ def cmd_generators(args):
     _reject_unread(args, args.kind, ("type", "rank", "n", "file"))
     gs = BUILDERS[args.kind](args).generator_set(seed=args.seed)
     elapsed = time.monotonic() - t0
-    lines = [f"{len(gs)} generators"]
-    for name, elem in gs.entries:
-        lines.append(f"  {name} = {elem}")
-    lines.append(
-        "verification: "
-        + ("all checks pass" if gs.all_verified() else "FAILED checks present")
-    )
-    _emit(gs.to_json(), args.format, lines, elapsed=elapsed)
+    with _ExactDigits():
+        lines = [f"{len(gs)} generators"]
+        for name, elem in gs.entries:
+            lines.append(f"  {name} = {elem}")
+        lines.append(
+            "verification: "
+            + ("all checks pass" if gs.all_verified() else "FAILED checks present")
+        )
+        _emit(gs.to_json(), args.format, lines, elapsed=elapsed)
     return EXIT_OK if gs.all_verified() else EXIT_UNVERIFIED
 
 
@@ -187,11 +201,12 @@ def cmd_eval(args):
         if v not in values and any(e[i] for p in used for e in p.terms):
             raise ValueError(f"--point has no value for {v!r}")
     value = elem.evaluate({**dict.fromkeys(dset.vars, 0), **values})
-    payload = {
-        "expression": args.expr,
-        "value": {"num": str(value.numerator), "den": str(value.denominator)},
-    }
-    _emit(payload, args.format, [f"{args.expr} = {value}"])
+    with _ExactDigits():
+        payload = {
+            "expression": args.expr,
+            "value": {"num": str(value.numerator), "den": str(value.denominator)},
+        }
+        _emit(payload, args.format, [f"{args.expr} = {value}"])
     return EXIT_OK
 
 

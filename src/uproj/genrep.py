@@ -15,14 +15,15 @@ and the roots of the current subalgebra.  Vectors and forms are pairs
 (d, integer row) in ambient coordinates (see linalg), never rescaled,
 since the scale of v0 fixes the slices; Fractions are built only where
 a form becomes a Poly.  Operators act through the sparse rows in
-rep.sparse, and every span test reduces one row against a linalg.Echelon
-of the rows kept so far.  In each weight space the lowest vectors are
-the combinations killed by every lowering operator, and the raising
-operators close each one into an irreducible summand; this splits the
-stage span under the current subalgebra, then each summand under the
-Levi subalgebra.  When the basis changes, the forms follow by
-T[i][c] = old_form_c(new_vector_i): the new forms are T^{-T} applied to
-the old ones.
+rep.sparse, which RepInput closes under brackets and validates one
+integer row sum at a time, and every span test reduces one row against
+a linalg.Echelon of the rows kept so far.  In each weight space the
+lowest vectors are the combinations killed by every lowering operator,
+and the raising operators close each one into an irreducible summand;
+this splits the stage span under the current subalgebra, then each
+summand under the Levi subalgebra.  When the basis changes, the forms
+follow by T[i][c] = old_form_c(new_vector_i): the new forms are T^{-T}
+applied to the old ones.
 
 Each stage raises RepValidationError when one of its invariants fails:
 every positive-root operator and the lowering operators of the simple
@@ -36,6 +37,7 @@ vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 
@@ -60,9 +62,13 @@ class RepInput:
     basis vector, its values on the simple coroots.
 
     After validation `sparse` maps every symbol to the sparse integer rows
-    of its matrix (see linalg), through which the construction applies it,
-    and `rho` to the same matrix as a tuple of Fraction tuples; both
-    mappings are read-only.
+    of its matrix (see linalg), through which the construction applies it.
+    `rho` maps every symbol to the same matrix as a tuple of Fraction
+    tuples; the construction never reads it, so it is built when first
+    read.  Both mappings are read-only.
+
+    Each derived matrix, and each row of every bracket relation checked,
+    is one linalg.sparse_commutator row: one integer sum per row.
     """
 
     def __init__(self, basis, dim, matrices, weights):
@@ -76,15 +82,18 @@ class RepInput:
         self.variables = tuple(f"y{i + 1}" for i in range(self.dim))
         given = {}
         for sym, m in matrices.items():
-            m = [[Fraction(x) for x in row] for row in m]
+            m = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in m]
             if len(m) != self.dim or any(len(r) != self.dim for r in m):
                 raise RepValidationError(f"matrix for {sym} is not dim x dim")
             given[sym] = linalg.sparse_rows(m)
         self.sparse = MappingProxyType(self._close_under_brackets(given))
-        self.rho = MappingProxyType(
+        self.validate()
+
+    @cached_property
+    def rho(self):
+        return MappingProxyType(
             {sym: linalg.dense_rows(m, self.dim) for sym, m in self.sparse.items()}
         )
-        self.validate()
 
     # -- matrix bookkeeping -------------------------------------------------
 
@@ -100,8 +109,7 @@ class RepInput:
         for h in basis.cartan_symbols:
             if h not in rho:
                 raise RepValidationError(f"missing matrix for {h}")
-        by_height = sorted(rs.positive_roots, key=lambda r: (rs.height(r), r))
-        for root in by_height:
+        for root in sorted(rs.positive_roots, key=lambda r: (rs.height(r), r)):
             for sym_of in (basis.pos_symbol, basis.neg_symbol):
                 sym = sym_of[root]
                 if sym in rho:
@@ -119,7 +127,7 @@ class RepInput:
         rs = self.basis.rs
         for simple in rs.simple_roots:
             rest = tuple(x - y for x, y in zip(root, simple))
-            if rest in rs._root_set and rs.is_positive(rest):
+            if rest in rs.positive_roots:
                 return simple, rest
         return None
 
@@ -148,11 +156,13 @@ class RepInput:
         for i, u in enumerate(symbols):
             row = basis.table[u]
             for v in symbols[i + 1:]:
-                lhs = linalg.sparse_combination(
-                    [(c, self.sparse[s]) for s, c in row.get(v, ())], self.dim
+                # [rho(u), rho(v)] - rho([u, v]), zero exactly when every
+                # canonical row is empty
+                residual = linalg.sparse_commutator(
+                    self.sparse[u], self.sparse[v], 1,
+                    [(-c, self.sparse[s]) for s, c in row.get(v, ())],
                 )
-                rhs = linalg.sparse_commutator(self.sparse[u], self.sparse[v], 1)
-                if lhs != rhs:
+                if any(entries for _, entries in residual):
                     raise RepValidationError(
                         f"bracket compatibility fails on the pair ({u}, {v}): "
                         "rho([x,y]) != [rho(x), rho(y)]"
@@ -329,14 +339,14 @@ class RepConstruction(Construction):
                     raise RepValidationError("basis vector is not a weight vector")
         return wt
 
-    def _simple_subroots(self, pos):
+    @staticmethod
+    def _simple_subroots(pos):
+        """The simple roots of a positive system pos, in the order of pos."""
         pos_set = set(pos)
-        out = [
+        return [
             a for a in pos
             if not any(tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos)
         ]
-        rs = self.rep.basis.rs
-        return sorted(out, key=lambda r: (rs.height(r), r))
 
     def _decompose(self, vectors, raising, lowering):
         """Split the span of the given weight vectors into irreducible

@@ -31,9 +31,13 @@ def read_rational(value):
     """A rational from outside: an int, or its text as an integer, p/q or
     a decimal.  Exponent notation raises ValueError, since
     Fraction("1e999999999") builds 10^999999999; so does digit grouping
-    such as "1_000", which Python reads and the documented forms leave out."""
+    such as "1_000", which Python reads and the documented forms leave out.
+    Text of digits alone skips Fraction's parser: int accepts exactly the
+    digit strings that the parser does, with the same value."""
     text = str(value)
     try:
+        if text.isdigit():
+            return Fraction(int(text))
         if "e" not in text.lower() and "_" not in text:
             return Fraction(text)
     except ZeroDivisionError:
@@ -218,26 +222,27 @@ def sparse_vec(srows, v):
     return pair(den * dv, out)
 
 
+def _times(c, row, b):
+    """The _combine terms of c row b, for an int or Fraction c, a sparse
+    row and the sparse rows of b."""
+    n, d = c.numerator, c.denominator * row[0]
+    return [(n * x, d, b[j]) for j, x in row[1]]
+
+
 def sparse_mul(a, b):
     """The sparse rows of a b, from the sparse rows of a and of b."""
+    return tuple(_combine(_times(1, row, b)) for row in a)
+
+
+def sparse_commutator(a, b, c, terms=()):
+    """The sparse rows of c (a b - b a) plus the sum of k m over the (k, m)
+    in terms, for sparse a, b and m, an int or Fraction c and ints k; each
+    row is one _combine."""
     return tuple(
-        _combine([(x, den, b[j]) for j, x in entries]) for den, entries in a
-    )
-
-
-def sparse_combination(terms, nrows):
-    """The sparse rows of the sum of c * m over the (c, m) in terms, each m
-    sparse rows of nrows rows and each c an int or a Fraction."""
-    terms = [(c.numerator, c.denominator, m) for c, m in terms if c]
-    return tuple(
-        _combine([(n, d, m[i]) for n, d, m in terms]) for i in range(nrows)
-    )
-
-
-def sparse_commutator(a, b, c):
-    """The sparse rows of c (a b - b a), for sparse a and b."""
-    return sparse_combination(
-        [(c, sparse_mul(a, b)), (-c, sparse_mul(b, a))], len(a)
+        _combine(
+            _times(c, ra, b) + _times(-c, rb, a) + [(k, 1, m[i]) for k, m in terms]
+        )
+        for i, (ra, rb) in enumerate(zip(a, b))
     )
 
 

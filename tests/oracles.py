@@ -13,7 +13,8 @@ through a point, for the count certificate |G| = dim V - dim(orbit).
 `mat_vec` and `mat_inv` are dense Fraction matrix arithmetic,
 `poly_from_json` and `locelem_from_json` read back what `to_json`
 writes, and `leading` and `coefficient_of` read one term of a Poly; the
-library no longer carries them.
+library no longer carries them.  `sparse_combination` sums sparse rows
+through Fraction rows, the reference for `linalg.sparse_commutator`.
 """
 
 import random
@@ -50,6 +51,22 @@ def mat_inv(rows):
             if i != c and m[i][c]:
                 m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
+
+
+def sparse_combination(terms, nrows):
+    """The sparse rows of the sum of c * m over the (c, m) in terms, each m
+    sparse rows of nrows rows and each c an int or a Fraction, summed one
+    Fraction entry at a time."""
+    out = []
+    for i in range(nrows):
+        acc = {}
+        for c, m in terms:
+            den, entries = m[i]
+            for j, x in entries:
+                acc[j] = acc.get(j, 0) + Fraction(c) * x / den
+        row = [acc.get(j, 0) for j in range(max(acc, default=-1) + 1)]
+        out += linalg.sparse_rows([row])
+    return tuple(out)
 
 
 def witnesses(projector):

@@ -420,6 +420,43 @@ def test_eval_needs_only_the_variables_the_expression_reads():
     assert json.loads(r.stdout)["value"] == {"num": "1", "den": "2"}
 
 
+def _digits(n):
+    """The decimal text of an int of any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_eval_writes_every_digit_of_an_exact_value(capsys):
+    # 3^10000 has 4772 digits, past Python's limit on converting an int to
+    # text; the value is written whole, and the limit is back in place
+    # once main returns
+    want = _digits(3 ** 10000)
+    argv = ["eval", "--type", "A", "--rank", "1", "--expr", "H1^10000",
+            "--point", json.dumps({"H1": "3"})]
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["value"] == {"num": want, "den": "1"}
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out == f"H1^10000 = {want}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])
+def test_eval_keeps_the_digit_limit_on_input(quote):
+    # a 5000-digit --point value, as a JSON string or a JSON number, is
+    # invalid input
+    point = '{"H1": %s}' % (quote + "3" * 5000 + quote)
+    r = run_cli("eval", "--type", "A", "--rank", "1", "--expr", "H1",
+                "--point", point)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: ")
+
+
 def test_eval_singular_point_exits_2():
     r = run_cli("eval", "--type", "A", "--rank", "1",
                 "--expr", "H1*E_1^-1",

@@ -304,6 +304,53 @@ def test_rep_construction_is_pinned(basis_of, name, series, rank, digest):
 
 
 @pytest.mark.parametrize(
+    "name,series,rank,digest",
+    [
+        ("def", "A", 1,
+         "0ab658f7cdac2c7f9f30897f443a1486f8a43878fbb2160e89891ac069787c1c"),
+        ("def", "A", 2,
+         "00cd2ae64fdbe148969403c14f39afc3ccb54a33e8f361eb1f4291c0b9daee16"),
+        ("def", "A", 3,
+         "4dee40c56da621891f9764ccdfbba945f5852cc3072722db84a4328e5947b2d3"),
+        ("adj", "A", 1,
+         "9ec1ba4caf94a9da3adf3d15e4408f53900b4946cf56c5cd882bd7927c72b6ee"),
+        ("adj", "A", 2,
+         "d274dc433c38f9feb2683fdc77bff4186d3102709d075a79cb588f1f193850a1"),
+        ("adj", "A", 3,
+         "5a46b491d8f82fdbf3d6a7de51d4f786be2e3e3f2b2c5bbed083dc838130becb"),
+        ("def+def", "A", 1,
+         "de5441b6c5548bf4da8ae128106ef5a45bbbdb1ac64f02003fe95c13a47c01d5"),
+        ("def+def", "A", 2,
+         "3a6b0ef4c2df8e84032142f00ba91ff074057622fd1f9cc23e1d86ec9f4f421d"),
+        ("def+def", "A", 3,
+         "98d4692e93fcadbce4668d4bd7cc53e81c7837f20a833f9866c88856898ce588"),
+        ("def+adj", "A", 1,
+         "77838fdd37701376fee9325a1d51acf34b9f96d4c3dc0903186c8033bb4241ca"),
+        ("def+adj", "A", 2,
+         "f5f20bfdce61e0b63c6c9fdd1ede3f1ae305422d5c2b7b9f2636c154521085fd"),
+        ("def+adj", "A", 3,
+         "9e93a8774d24263f2f8f6f06cb294b81781862e92b81c3134a7b5ea73b53de79"),
+        ("adj", "B", 2,
+         "78dafccd87470eebf531b0c3db64c1a2c55db78caae3bb1daf28c57c697f1780"),
+        ("adj", "G", 2,
+         "2e24039b9dcbd4ce71f094e3b87459f34c89b95fd00b83ef59e62e5d4ad4dc06"),
+    ],
+)
+def test_closed_operators_are_pinned(basis_of, name, series, rank, digest):
+    # the sparse rows of every symbol's operator, on every input
+    # test_rep_construction_is_pinned pins, and the Fraction matrices of
+    # rho, built on first read, are the same matrices
+    rep = _pinned_rep(basis_of, name, series, rank)
+    text = repr(sorted(rep.sparse.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert "rho" not in vars(rep)
+    assert dict(rep.rho) == {
+        s: linalg.dense_rows(m, rep.dim) for s, m in rep.sparse.items()
+    }
+    assert rep.rho is rep.rho
+
+
+@pytest.mark.parametrize(
     "name,series,rank",
     [(name, "A", rank) for name in ("def", "adj", "def+def", "def+adj") for rank in (1, 2, 3)]
     + [("adj", "B", 2), ("adj", "G", 2)],

@@ -6,6 +6,8 @@ import pytest
 
 from uproj import linalg
 
+from oracles import sparse_combination
+
 
 def frac_rows(rows):
     return [[Fraction(x) for x in r] for r in rows]
@@ -251,6 +253,78 @@ def test_read_rational_accepts_plain_forms_only():
             linalg.read_rational(bad)
 
 
+NOT_RATIONAL = "not an integer, p/q or decimal: "
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        ("0", 0), ("-0", 0), ("+3", 3), ("007", 7), (" 7", 7),
+        ("\u0661\u0662", 12),  # Arabic-Indic digits, as Fraction reads them
+        ("\u00b2", NOT_RATIONAL + "'\u00b2'"),  # a digit, but not a decimal one
+        ("1_000", NOT_RATIONAL + "'1_000'"), ("1e3", NOT_RATIONAL + "'1e3'"),
+        ("3/0", "zero denominator in '3/0'"), ("0.5", Fraction(1, 2)),
+        ("-2/4", Fraction(-1, 2)), (True, NOT_RATIONAL + "'True'"),
+        (12345678901234567890, 12345678901234567890), (-17, -17),
+        ("9" * 5000, NOT_RATIONAL + repr("9" * 5000)),
+    ],
+    ids=lambda v: repr(v)[:12],
+)
+def test_read_rational_values_and_messages(value, want):
+    # plain digit strings skip Fraction's parser; every value and every
+    # message is the one the parser path gives
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            linalg.read_rational(value)
+        assert str(err.value) == want
+    else:
+        got = linalg.read_rational(value)
+        assert type(got) is Fraction and got == want
+
+
+def _sparse_matrix(rng, n):
+    """Seeded sparse rows of an n x n rational matrix, about one row in
+    four zero."""
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.25:
+            rows.append([0] * n)
+        else:
+            rows.append([
+                Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+                if rng.random() < 0.4 else 0
+                for _ in range(n)
+            ])
+    return linalg.sparse_rows(rows)
+
+
+@pytest.mark.parametrize("c", [1, -1, Fraction(1, 3), Fraction(-3, 4)])
+def test_commutator_rows_match_reference_composition(c):
+    # each fused row is one integer sum; the reference multiplies with
+    # sparse_mul and sums through Fraction rows, and both are canonical
+    rng = random.Random(f"commutator {c}")
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        a, b = _sparse_matrix(rng, n), _sparse_matrix(rng, n)
+        terms = [
+            (rng.randint(-3, 3), _sparse_matrix(rng, n))
+            for _ in range(rng.randint(0, 3))
+        ]
+        product = [(c, linalg.sparse_mul(a, b)), (-c, linalg.sparse_mul(b, a))]
+        assert linalg.sparse_commutator(a, b, c) == sparse_combination(product, n)
+        assert linalg.sparse_commutator(a, b, c, terms) == sparse_combination(
+            product + terms, n
+        )
+        # the residual [a, b] - k [a, b] is empty in every row for k = 1
+        # and is [b, a] for k = 2
+        ab = linalg.sparse_commutator(a, b, 1)
+        assert linalg.sparse_commutator(a, b, 1, [(-1, ab)]) == ((1, ()),) * n
+        assert linalg.sparse_commutator(a, b, 1, [(-2, ab)]) == (
+            linalg.sparse_commutator(b, a, 1)
+        )
+    assert linalg.sparse_commutator((), (), c, [(2, ())]) == ()
+
+
 def test_integer_elimination_matches_fraction_reference():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -320,9 +394,9 @@ def test_sparse_rows_are_canonical():
     assert rows == ((4, ((0, 2), (2, -3))), (1, ()), (1, ((0, 2), (1, 4), (2, 6))))
     assert linalg.dense_rows(rows, 3) == tuple(tuple(frac_rows(m)[i]) for i in range(3))
     # a combination that cancels to the same matrix compares equal
-    twice = linalg.sparse_combination([(3, rows), (Fraction(-2), rows)], 3)
+    twice = sparse_combination([(3, rows), (Fraction(-2), rows)], 3)
     assert twice == rows
-    assert linalg.sparse_combination([], 2) == ((1, ()), (1, ()))
+    assert sparse_combination([], 2) == ((1, ()), (1, ()))
     assert linalg.sparse_mul(rows, rows) == linalg.sparse_rows(dense_mat_mul(m, m))
 
 

@@ -165,11 +165,9 @@ def test_s_map_engine_builds_no_constant_factors():
     assert not found, f"Poly.const called in the s-map engine at {found}"
 
 
-def test_tracer_targets_resolve():
-    # perfbench/tracer.py wraps each (module, owner, attribute) of its
-    # TARGETS by name, and a target that was moved or deleted shows only as
-    # a KeyError when a traced sample installs the tracer.  TARGETS is read
-    # from the source, so the tracer is neither imported nor changed
+def _tracer_targets():
+    """perfbench/tracer.py's TARGETS, read from its source, so the tracer is
+    neither imported nor changed."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     (targets,) = [
         ast.literal_eval(node.value)
@@ -177,6 +175,14 @@ def test_tracer_targets_resolve():
         if isinstance(node, ast.Assign)
         and [_referenced_name(t) for t in node.targets] == ["TARGETS"]
     ]
+    return targets
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each (module, owner, attribute) of its
+    # TARGETS by name, and a target that was moved or deleted shows only as
+    # a KeyError when a traced sample installs the tracer
+    targets = _tracer_targets()
     assert targets
     missing = []
     for _prefix, modname, owner, attr in targets:
@@ -205,3 +211,30 @@ def test_only_cli_main_maps_errors_to_exit_codes():
                     found.append(f"cli.py:{node.lineno} {func.name} reads {name}")
     assert in_main == policy
     assert not found, f"exit codes or stderr outside main at {found}"
+
+
+def test_linalg_functions_have_library_callers():
+    # a linalg function that nothing in the library calls outside its own
+    # body is kept only for the tests; the tracer's targets stay while the
+    # benchmark times them
+    traced = {
+        attr for _, mod, owner, attr in _tracer_targets()
+        if mod == "linalg" and owner is None
+    }
+    funcs = [
+        node for node in ast.parse((SRC / "linalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert funcs
+    calls = {}  # name -> ids of the Call nodes that call it
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_referenced_name(node.func), set()).add(id(node))
+    uncalled = [
+        func.name
+        for func in funcs
+        if func.name not in traced
+        and not calls.get(func.name, set()) - {id(n) for n in ast.walk(func)}
+    ]
+    assert not uncalled, f"linalg functions without a library caller: {uncalled}"
