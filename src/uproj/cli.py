@@ -127,9 +127,10 @@ def _reject_unread(args, kind, names):
 def cmd_generators(args):
     t0 = time.monotonic()
     _reject_unread(args, args.kind, ("type", "rank", "n", "file"))
-    gs = BUILDERS[args.kind](args).generator_set(seed=args.seed)
-    elapsed = time.monotonic() - t0
+    construction = BUILDERS[args.kind](args)
     with _ExactDigits():
+        gs = construction.generator_set(seed=args.seed)
+        elapsed = time.monotonic() - t0
         lines = [f"{len(gs)} generators"]
         for name, elem in gs.entries:
             lines.append(f"  {name} = {elem}")
@@ -161,26 +162,28 @@ def cmd_verify(args):
             sources = [ln.strip() for ln in fh if ln.strip()]
     else:
         raise ValueError("provide --expr or --file")
-    results = []
-    ok = True
+    elems = []
     for src in sources:
         try:
-            elem = parse_expression(src, dset)
+            elems.append(parse_expression(src, dset))
         except ValueError as e:
             raise ParseError(f"cannot parse {src!r}: {e}") from None
-        report = verify_invariance(elem, family)
-        verdict = all(c["status"] == "pass" for c in report["checks"])
-        ok = ok and verdict
-        results.append(
-            {
-                "expression": src,
-                "status": "pass" if verdict else "fail",
-                "checks": report["checks"],
-            }
-        )
-    payload = {"results": results}
-    lines = [f"{r['expression']}: {r['status']}" for r in results]
-    _emit(payload, args.format, lines)
+    results = []
+    ok = True
+    with _ExactDigits():
+        for src, elem in zip(sources, elems):
+            report = verify_invariance(elem, family)
+            verdict = all(c["status"] == "pass" for c in report["checks"])
+            ok = ok and verdict
+            results.append(
+                {
+                    "expression": src,
+                    "status": "pass" if verdict else "fail",
+                    "checks": report["checks"],
+                }
+            )
+        lines = [f"{r['expression']}: {r['status']}" for r in results]
+        _emit({"results": results}, args.format, lines)
     return EXIT_OK if ok else EXIT_UNVERIFIED
 
 

@@ -26,12 +26,14 @@ follow by T[i][c] = old_form_c(new_vector_i): the new forms are T^{-T}
 applied to the old ones.
 
 Each stage raises RepValidationError when one of its invariants fails:
-every positive-root operator and the lowering operators of the simple
-and Levi-simple roots preserve the stage span, and the Levi raising and
-lowering operators preserve each summand's span; the summands fill the
-span they split; the orbit of v0 and the Levi complement together form a
-basis of the stage span; every vector of the new basis is a weight
-vector.
+each decomposition first checks that the simple operators it splits by
+preserve the span it splits (RepInput.validate proved the brackets, and
+simple root vectors generate the subalgebra, so every other operator of
+it, the m-orbit of v0 included, then preserves it too, and so do the
+Levi lowering operators on the stage span, whose summands fill it); the
+summands fill the span they split; the orbit of v0 and the Levi
+complement together form a basis of the stage span; every vector of the
+new basis is a weight vector.
 """
 
 from __future__ import annotations
@@ -319,16 +321,6 @@ class RepConstruction(Construction):
         coeffs = (Fraction(x, den) for x in row)
         return Poly.linear(variables, dict(zip(variables, coeffs)))
 
-    @staticmethod
-    def _check_span(matrices, vectors):
-        """Raise unless every matrix, given by its sparse rows, maps the
-        span of the vectors into it."""
-        span = linalg.Echelon(w for _, w in vectors)
-        for mat in matrices:
-            for v in vectors:
-                if any(span.reduce(linalg.sparse_vec(mat, v)[1])):
-                    raise RepValidationError("operator does not preserve the span")
-
     def _weight_of(self, vec):
         wt = None
         for c, w in zip(vec[1], self.rep.weights):
@@ -353,7 +345,14 @@ class RepConstruction(Construction):
         summands of the subalgebra with these simple raising and lowering
         operators, given by their sparse rows.  The lowest vectors of each
         weight space are the combinations its vectors take in the kernel of
-        every lowering operator; raising closes each one into a summand."""
+        every lowering operator; raising closes each one into a summand.
+        First raises RepValidationError unless every operator maps the
+        span into itself, which makes it invariant under the subalgebra."""
+        span = linalg.Echelon(w for _, w in vectors)
+        for mat in raising + lowering:
+            for v in vectors:
+                if any(span.reduce(linalg.sparse_vec(mat, v)[1])):
+                    raise RepValidationError("operator does not preserve the span")
         if not lowering:
             return [[v] for v in vectors]
         by_weight = {}
@@ -412,7 +411,6 @@ class RepConstruction(Construction):
         simples = self._simple_subroots(pos)
         raising = {a: rep.sparse[basis.pos_symbol[a]] for a in pos}
         lowering = [rep.sparse[basis.neg_symbol[a]] for a in simples]
-        self._check_span(list(raising.values()) + lowering, vectors)
         summands = self._decompose(vectors, [raising[a] for a in simples], lowering)
         candidates = [s for s in summands if len(s) > 1]
         if not candidates:
@@ -435,13 +433,11 @@ class RepConstruction(Construction):
         levi_simples = self._simple_subroots(rest)
         l_pos = [raising[a] for a in levi_simples]
         l_neg = [rep.sparse[basis.neg_symbol[a]] for a in levi_simples]
-        self._check_span(l_neg, vectors)
         new_vectors = [v0] + [img for _, img in moved]
         k = len(m_roots)
         span = linalg.Echelon(w for _, w in new_vectors)
         complement = []
         for grp in [cand] + [s for s in summands if s is not cand]:
-            self._check_span(l_pos + l_neg, grp)
             for s in self._decompose(grp, l_pos, l_neg):
                 kept = list(span.rows)
                 if all(span.add(w) for _, w in s):

@@ -14,8 +14,9 @@ last a rows and columns {1, ..., a-1, b}.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations, starmap
 from math import isqrt
+from operator import gt
 
 from .genset import Construction
 from .projector import Derivation, Projector, Stage
@@ -31,23 +32,6 @@ def matrix_variables(n):
     return tuple(entry_name(i, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def minor(variables, rows, cols):
     """Exact determinant of the submatrix s[rows, cols] as a Poly."""
     rows = list(rows)
@@ -59,7 +43,8 @@ def minor(variables, rows, cols):
     k = len(rows)
     out = Poly(variables)
     for perm in permutations(range(k)):
-        term = Poly.const(variables, _perm_sign(perm))
+        inversions = sum(starmap(gt, combinations(perm, 2)))
+        term = Poly.const(variables, (-1) ** inversions)
         for i in range(k):
             term = term * Poly.variable(
                 variables, entry_name(rows[i], cols[perm[i]])
@@ -68,9 +53,9 @@ def minor(variables, rows, cols):
     return out
 
 
-def conj_derivation(dset, a, b, label=""):
-    """Derivation D(s) = s x - x s for the matrix unit x = E_ab: D(s_i_b)
-    gains s_i_a, and D(s_a_j) loses s_b_j."""
+def conj_derivation(dset, a, b):
+    """Derivation D_s_a_b: D(s) = s x - x s for the matrix unit x = E_ab,
+    so D(s_i_b) gains s_i_a, and D(s_a_j) loses s_b_j."""
     n = isqrt(len(dset.vars))
     images = {}
     for i in range(1, n + 1):
@@ -81,7 +66,7 @@ def conj_derivation(dset, a, b, label=""):
             if i == a:
                 coeffs[entry_name(b, j)] = -1
             images[entry_name(i, j)] = Poly.linear(dset.vars, coeffs)
-    return Derivation(dset, images, label=label)
+    return Derivation(dset, images, label=f"D_s_{a}_{b}")
 
 
 def matrix_elements(n):
@@ -128,7 +113,7 @@ class ConjugationConstruction(Construction):
         # is d_beta / d_nu, nu = n - b + 1
         self.projector = Projector(self.dset, [
             Stage(
-                conj_derivation(self.dset, a, b, label=f"D_s_{a}_{b}"),
+                conj_derivation(self.dset, a, b),
                 LocElem(self.dset, self.elements["d_beta"][(a, b)]),
                 self.d[n - b],
             )
@@ -150,7 +135,4 @@ class ConjugationConstruction(Construction):
         return entries, metadata
 
     def simple_derivations(self):
-        return [
-            conj_derivation(self.dset, i, i + 1, label=f"D_s_{i}_{i + 1}")
-            for i in range(1, self.n)
-        ]
+        return [conj_derivation(self.dset, i, i + 1) for i in range(1, self.n)]

@@ -761,15 +761,7 @@ class LocElem:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("LocElem powers must be nonnegative integers")
-        result = LocElem.const(self.dset, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return LocElem(self.dset, self.num ** n, [e * n for e in self.den])
 
     def inverse(self):
         """Invert by registering the (primitive part of the) numerator as a

@@ -446,6 +446,15 @@ def test_eval_writes_every_digit_of_an_exact_value(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_verify_writes_every_digit_of_a_residue():
+    # D_E_1 (3*H1)^9100 = -2 * 9100 * 3^9100 * E_1*H1^9099, a coefficient
+    # of 4347 digits: a failed check, not invalid input
+    r = run_cli("verify", "--type", "A", "--rank", "1", "--expr", "(3*H1)^9100")
+    assert r.returncode == 3, r.stderr
+    (check,) = json.loads(r.stdout)["results"][0]["checks"]
+    assert check["residue"] == f"-{_digits(2 * 9100 * 3 ** 9100)}*E_1*H1^9099"
+
+
 @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])
 def test_eval_keeps_the_digit_limit_on_input(quote):
     # a 5000-digit --point value, as a JSON string or a JSON number, is

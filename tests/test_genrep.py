@@ -391,15 +391,25 @@ def test_rep_construction_work_is_pinned(basis_of, monkeypatch):
         ("E_01", 5, 0, "does not fill the space"),
         ("E_10", 1, 2, "invariant complement has a wrong dimension"),
         ("E_11", 1, 2, "not a weight vector"),
+        # the span check at the second stage: in the decomposition of the
+        # stage span, and in the Levi decomposition of one of its summands
+        ("B2 adjoint:F_10", 5, 1, "operator does not preserve the span"),
+        ("A3 twice:F_100", 7, 4, "operator does not preserve the span"),
     ],
 )
 def test_construction_checks_reject_a_corrupted_operator(
     basis_of, sym, i, j, message
 ):
     # one entry changed after validation reaches each runtime check of
-    # the peeling
-    b = basis_of("A", 2)
-    rep = CorruptedRep(direct_sum(defining_rep(b), defining_rep(b)), sym, i, j)
+    # the peeling; the input is two copies of A2's defining representation
+    # unless the case names another before its symbol
+    inputs = {
+        "": lambda: direct_sum(*[defining_rep(basis_of("A", 2))] * 2),
+        "B2 adjoint": lambda: adjoint_rep(basis_of("B", 2)),
+        "A3 twice": lambda: direct_sum(*[defining_rep(basis_of("A", 3))] * 2),
+    }
+    name, _, sym = sym.rpartition(":")
+    rep = CorruptedRep(inputs[name](), sym, i, j)
     with pytest.raises(RepValidationError, match=message):
         RepConstruction(rep)
 

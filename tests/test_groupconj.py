@@ -263,7 +263,7 @@ def test_conj_derivation_matches_commutator():
     for a, b in [(1, 2), (2, 3), (1, 3)]:
         x = [[Fraction(int((i, j) == (a, b))) for j in range(1, n + 1)]
              for i in range(1, n + 1)]
-        d = conj_derivation(dset, a, b, label="t")
+        d = conj_derivation(dset, a, b)
         sx = linalg.mat_mul(s, x)
         xs = linalg.mat_mul(x, s)
         for i in range(n):

@@ -238,3 +238,36 @@ def test_linalg_functions_have_library_callers():
         and not calls.get(func.name, set()) - {id(n) for n in ast.walk(func)}
     ]
     assert not uncalled, f"linalg functions without a library caller: {uncalled}"
+
+
+def test_cli_formats_results_with_every_digit():
+    # an exact value may have more digits than Python writes as text by
+    # default, so the commands that write one compute and format it
+    # inside `with _ExactDigits()`, after reading their input outside it
+    writers = {"cmd_generators", "cmd_verify", "cmd_eval"}
+    formatting = {"_emit", "generator_set", "verify_invariance"}
+    funcs = [
+        node for node in ast.parse((SRC / "cli.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name in writers
+    ]
+    assert {func.name for func in funcs} == writers
+    found = []
+    for func in funcs:
+        lifted = {
+            id(inner)
+            for node in ast.walk(func)
+            if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call)
+                and _referenced_name(item.context_expr.func) == "_ExactDigits"
+                for item in node.items
+            )
+            for inner in ast.walk(node)
+        }
+        found.extend(
+            f"cli.py:{node.lineno} {func.name} calls {_referenced_name(node.func)}"
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and _referenced_name(node.func) in formatting
+            and id(node) not in lifted
+        )
+    assert not found, f"exact results formatted under the digit limit at {found}"

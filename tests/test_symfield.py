@@ -168,6 +168,24 @@ def test_locelem_json_roundtrip():
     assert locelem_from_json(dset, data) == a
 
 
+def test_locelem_power_matches_repeated_multiplication():
+    # a ** n reduces num^n over n * den once; x^2 divides num^n for n >= 2
+    # without dividing num = x * (...), and x*y and x overlap
+    rng = random.Random(18)
+    x2, xy, x = (Poly(VARS, {e: 1}) for e in [(2, 0, 0), (1, 1, 0), (1, 0, 0)])
+    for extra in ([x2], [xy, x], [x2, xy]):
+        for _ in range(20):
+            gens = [rand_poly(rng, nterms=2, deg=2) for _ in range(2)] + extra
+            dset = DenominatorSet(VARS, [g for g in gens if not g.is_constant()])
+            num = x * rand_poly(rng, nterms=3, deg=3)
+            a = LocElem(dset, num, [rng.randint(0, 2) for _ in dset.gens])
+            want = LocElem.const(dset, 1)
+            for n in range(6):
+                got = a ** n
+                assert (got.num, got.den) == (want.num, want.den)
+                want = want * a
+
+
 def test_locelem_scalar_multiple_is_reduced():
     rng = random.Random(17)
     dset = DenominatorSet(VARS)
