@@ -131,14 +131,19 @@ def cmd_generators(args):
     with _ExactDigits():
         gs = construction.generator_set(seed=args.seed)
         elapsed = time.monotonic() - t0
-        lines = [f"{len(gs)} generators"]
-        for name, elem in gs.entries:
-            lines.append(f"  {name} = {elem}")
-        lines.append(
-            "verification: "
-            + ("all checks pass" if gs.all_verified() else "FAILED checks present")
-        )
-        _emit(gs.to_json(), args.format, lines, elapsed=elapsed)
+        # the tree and the text lines each format every generator, so
+        # only the one that --format prints is built
+        if args.format == "json":
+            _emit(gs.to_json(), "json")
+        else:
+            lines = [f"{len(gs)} generators"]
+            for name, elem in gs.entries:
+                lines.append(f"  {name} = {elem}")
+            lines.append(
+                "verification: "
+                + ("all checks pass" if gs.all_verified() else "FAILED checks present")
+            )
+            _emit(None, "text", lines, elapsed=elapsed)
     return EXIT_OK if gs.all_verified() else EXIT_UNVERIFIED
 
 

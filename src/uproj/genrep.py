@@ -347,12 +347,14 @@ class RepConstruction(Construction):
         weight space are the combinations its vectors take in the kernel of
         every lowering operator; raising closes each one into a summand.
         First raises RepValidationError unless every operator maps the
-        span into itself, which makes it invariant under the subalgebra."""
+        span into itself, which makes it invariant under the subalgebra;
+        the whole space needs no check."""
         span = linalg.Echelon(w for _, w in vectors)
-        for mat in raising + lowering:
-            for v in vectors:
-                if any(span.reduce(linalg.sparse_vec(mat, v)[1])):
-                    raise RepValidationError("operator does not preserve the span")
+        if len(span.rows) < self.rep.dim:
+            for mat in raising + lowering:
+                for v in vectors:
+                    if any(span.reduce(linalg.sparse_vec(mat, v)[1])):
+                        raise RepValidationError("operator does not preserve the span")
         if not lowering:
             return [[v] for v in vectors]
         by_weight = {}

@@ -40,17 +40,17 @@ def minor(variables, rows, cols):
         raise ValueError(
             f"a minor needs as many rows as columns: {len(rows)} vs {len(cols)}"
         )
-    k = len(rows)
-    out = Poly(variables)
-    for perm in permutations(range(k)):
+    terms = {}
+    for perm in permutations(range(len(rows))):
+        exp = [0] * len(variables)
+        for r, j in zip(rows, perm):
+            exp[variables.index(entry_name(r, cols[j]))] += 1
+        exp = tuple(exp)
+        # summed, not assigned: with a repeated row or column two
+        # permutations give one monomial, with opposite signs
         inversions = sum(starmap(gt, combinations(perm, 2)))
-        term = Poly.const(variables, (-1) ** inversions)
-        for i in range(k):
-            term = term * Poly.variable(
-                variables, entry_name(rows[i], cols[perm[i]])
-            )
-        out = out + term
-    return out
+        terms[exp] = terms.get(exp, 0) + (-1) ** inversions
+    return Poly(variables, terms)
 
 
 def conj_derivation(dset, a, b):

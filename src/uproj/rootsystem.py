@@ -3,8 +3,13 @@
 Roots live in a fixed ambient lattice with integer coordinates (the E and F
 realizations are scaled by 2 so half-integer coordinates become integers;
 the bilinear form carries the compensating 1/4).  Simple roots follow the
-Bourbaki numbering, and the full root set is generated by reflection
-closure.
+Bourbaki numbering.  Every root is W-conjugate to a simple root, so closing
+the simple roots under the simple reflections finds the whole root set,
+negative roots included (s_i(alpha_i) = -alpha_i).  The closure carries
+each root's integer coefficients over the simple roots along: s_i changes
+only coefficient i, by -<beta, alpha_i-check> (Humphreys, *Introduction to
+Lie Algebras and Representation Theory*, 10.3), so no linear system is
+solved.
 
 The cascade of strongly orthogonal roots is built by repeatedly splitting
 off the highest root of each irreducible component and descending to its
@@ -14,9 +19,7 @@ orthogonal complement.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-
-from . import linalg
+from math import gcd
 
 
 class InvalidDynkinDatum(ValueError):
@@ -123,57 +126,52 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _reflect(beta, alpha):
-    # 2(beta,alpha)/(alpha,alpha) is scale-free, so plain dot products do.
-    c = Fraction(2 * _dot(beta, alpha), _dot(alpha, alpha))
-    if c.denominator != 1:
-        raise RuntimeError("non-integral Cartan pairing")
-    c = int(c)
-    return tuple(b - c * a for b, a in zip(beta, alpha))
+def _pairing(beta, alpha):
+    """<beta, alpha-check> = 2(beta,alpha)/(alpha,alpha), an exact integer;
+    the quotient is scale-free, so plain dot products do."""
+    num, den = 2 * _dot(beta, alpha), _dot(alpha, alpha)
+    c, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise ValueError(
+            f"non-integral Cartan pairing <{beta}, {alpha}>: {num // g}/{den // g}"
+        )
+    return c
 
 
 class RootSystem(ValueRecord):
-    """Immutable typed root datum.
+    """Immutable typed root datum, built whole from a {root: coefficients}
+    table.
 
-    The root set, the simple-root coefficients of every root and the
-    ordered positive roots are derived once per instance, on first use.
+    The table maps every root to its integer coefficients over the simple
+    roots, as the reflection closure of `build_root_system` finds them.
+    The sorted roots, the root set and the positive roots, ordered by
+    height and then by coefficients, are set here once.
     """
 
     _fields = ("series", "rank", "roots", "simple_roots", "form_scale")
 
-    def __init__(self, series, rank, roots, simple_roots, form_scale):
+    def __init__(self, series, rank, table, simple_roots, form_scale):
+        pos = [r for r, c in table.items() if all(x >= 0 for x in c)]
+        pos.sort(key=lambda r: (sum(table[r]), table[r]))
         vars(self).update(
             series=series,  # str
             rank=rank,  # int
-            roots=roots,  # tuple
+            roots=tuple(sorted(table)),
             simple_roots=simple_roots,  # tuple
             form_scale=form_scale,  # Fraction
+            positive_roots=tuple(pos),
+            _root_set=frozenset(table),
+            _table=table,
         )
 
     def inner(self, a, b):
         return self.form_scale * _dot(a, b)
 
-    @cached_property
-    def _root_set(self):
-        return frozenset(self.roots)
-
-    @cached_property
-    def _coefficient_table(self):
-        rows = [list(map(Fraction, r)) for r in zip(*self.simple_roots)]
-        sols = linalg.solve_columns(rows, [list(root) for root in self.roots])
-        if sols is None:
-            raise RuntimeError("a root is outside the span of the simple roots")
-        table = {}
-        for root, sol in zip(self.roots, sols):
-            if any(c.denominator != 1 for c in sol):
-                raise RuntimeError(f"{root} is not an integral root")
-            table[root] = tuple(int(c) for c in sol)
-        return table
-
     def coefficients(self, root):
         """Expansion of a root over the simple roots (exact integers)."""
         try:
-            return self._coefficient_table[tuple(root)]
+            return self._table[tuple(root)]
         except KeyError:
             raise ValueError(f"{root} is not a root") from None
 
@@ -183,44 +181,38 @@ class RootSystem(ValueRecord):
     def height(self, root):
         return sum(self.coefficients(root))
 
-    @cached_property
-    def positive_roots(self):
-        pos = [r for r in self.roots if self.is_positive(r)]
-        pos.sort(key=lambda r: (self.height(r), self.coefficients(r)))
-        return tuple(pos)
-
-    def cartan_pairing(self, beta, alpha):
-        """<beta, alpha-check> = 2(beta,alpha)/(alpha,alpha)."""
-        c = Fraction(2 * _dot(beta, alpha), _dot(alpha, alpha))
-        if c.denominator != 1:
-            raise ValueError(f"non-integral Cartan pairing <{beta}, {alpha}>: {c}")
-        return int(c)
+    # <beta, alpha-check>, the pairing the closure reflects with
+    cartan_pairing = staticmethod(_pairing)
 
 
 def build_root_system(series, rank):
-    """Construct an irreducible root system with Bourbaki simple roots."""
+    """Construct an irreducible root system with Bourbaki simple roots.
+
+    The simple roots are closed under the simple reflections, and each
+    root found keeps its simple-root coefficients: s_i(beta) = beta -
+    <beta, alpha_i-check> alpha_i changes coefficient i alone."""
     if not isinstance(rank, int) or rank < 1:
         raise InvalidDynkinDatum(f"rank must be a positive integer, got {rank}")
     simples, scale = _simple_roots(series, rank)
-    roots = set(simples)
-    frontier = set(simples)
+    table = {a: tuple(int(i == j) for j in range(rank)) for i, a in enumerate(simples)}
+    frontier = list(table)
     while frontier:
-        new = set()
+        new = []
         for beta in frontier:
-            for alpha in simples:
-                r = _reflect(beta, alpha)
-                if r not in roots:
-                    new.add(r)
-        roots |= new
+            coeffs = table[beta]
+            for i, alpha in enumerate(simples):
+                c = _pairing(beta, alpha)
+                r = tuple(b - c * a for b, a in zip(beta, alpha))
+                if r not in table:
+                    table[r] = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1:]
+                    new.append(r)
         frontier = new
-    roots |= {tuple(-x for x in v) for v in roots}
     expected = 2 * _ROOT_COUNTS[series](rank)
-    if len(roots) != expected:
+    if len(table) != expected:
         raise RuntimeError(
-            f"{series}{rank}: got {len(roots)} roots, expected {expected}"
+            f"{series}{rank}: got {len(table)} roots, expected {expected}"
         )
-    ordered = sorted(roots)
-    return RootSystem(series, rank, tuple(ordered), tuple(simples), scale)
+    return RootSystem(series, rank, table, tuple(simples), scale)
 
 
 class CascadeLevel(ValueRecord):

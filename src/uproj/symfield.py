@@ -782,7 +782,12 @@ class LocElem:
         return self * other.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction)):
+            # num = c * (product of the denominator's generators) divides
+            # out completely in _reduce, so a reduced constant has no
+            # denominator
+            return not self.den and self.num == other
+        if isinstance(other, Poly):
             other = LocElem(self.dset, other)
         elif not isinstance(other, LocElem):
             return NotImplemented

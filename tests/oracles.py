@@ -14,7 +14,9 @@ through a point, for the count certificate |G| = dim V - dim(orbit).
 `poly_from_json` and `locelem_from_json` read back what `to_json`
 writes, and `leading` and `coefficient_of` read one term of a Poly; the
 library no longer carries them.  `sparse_combination` sums sparse rows
-through Fraction rows, the reference for `linalg.sparse_commutator`.
+through Fraction rows, the reference for `linalg.sparse_commutator`, and
+`root_coefficients` solves for the simple-root coefficients of every
+root, the reference for the ones the reflection closure carries.
 """
 
 import random
@@ -112,6 +114,16 @@ def orbit_rank(derivations, dset, point):
             for d in derivations
         ]
     )
+
+
+def root_coefficients(rs):
+    """{root: coefficients over the simple roots} for every root of rs, by
+    one rational linear solve against the simple roots' columns."""
+    rows = [list(map(Fraction, r)) for r in zip(*rs.simple_roots)]
+    sols = linalg.solve_columns(rows, [list(root) for root in rs.roots])
+    if sols is None:
+        raise ValueError("a root is outside the span of the simple roots")
+    return {root: tuple(sol) for root, sol in zip(rs.roots, sols)}
 
 
 def is_root(rs, v):

@@ -356,6 +356,25 @@ def test_generators_text_format():
     assert "all checks pass" in r.stdout
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_generators_format_each_element_once(monkeypatch, capsys, fmt):
+    # --format prints either the JSON tree or the text lines, and each
+    # writes every generator as text, so only the printed one is built
+    calls = []
+    to_text = LocElem.__str__
+
+    def counted(self):
+        calls.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(LocElem, "__str__", counted)
+    argv = ["generators", "adjoint", "--type", "A", "--rank", "2", "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 5
+    assert out.startswith("{") == (fmt == "json")
+
+
 # -- verify -------------------------------------------------------------
 
 

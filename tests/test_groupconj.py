@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -61,6 +62,39 @@ def test_minor_is_a_determinant():
         - Poly.variable(vars3, "s_2_2") * Poly.variable(vars3, "s_3_1")
     )
     assert m == expected
+
+
+def signed_products_minor(variables, rows, cols):
+    """The minor as the sum of its k! signed products of variable Polys."""
+    out = Poly(variables)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = Poly.const(variables, (-1) ** inversions)
+        for r, j in zip(rows, perm):
+            term = term * Poly.variable(variables, entry_name(r, cols[j]))
+        out = out + term
+    return out
+
+
+def test_minor_matches_signed_products():
+    # seeded selections, repeated rows and columns among them, whose
+    # minors are zero: the signs of one monomial are summed
+    rng = random.Random(0)
+    repeated = 0
+    for n in range(2, 6):
+        variables = matrix_variables(n)
+        for _ in range(25):
+            k = rng.randint(1, n)
+            rows = [rng.randint(1, n) for _ in range(k)]
+            cols = [rng.randint(1, n) for _ in range(k)]
+            m = minor(variables, rows, cols)
+            assert m == signed_products_minor(variables, rows, cols)
+            if len(set(rows)) < k or len(set(cols)) < k:
+                repeated += 1
+                assert m.is_zero()
+    assert repeated >= 20
+    assert minor(matrix_variables(3), (2, 2), (1, 3)).is_zero()
+    assert minor(matrix_variables(3), (1, 2), (3, 3)).is_zero()
 
 
 def test_minor_rejects_non_square_selection():

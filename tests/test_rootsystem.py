@@ -11,7 +11,7 @@ from uproj.rootsystem import (
     kostant_cascade,
 )
 
-from oracles import is_root
+from oracles import is_root, root_coefficients
 
 # (series, rank) -> number of positive roots, from the classical counts
 POSITIVE_ROOT_COUNTS = {
@@ -99,6 +99,19 @@ def test_coefficients_expand_each_root_with_one_sign(series, rank):
         assert all(ci >= 0 for ci in c) or all(ci <= 0 for ci in c)
 
 
+@pytest.mark.parametrize("series,rank", sorted(POSITIVE_ROOT_COUNTS))
+def test_closure_coefficients_match_linear_solve(series, rank):
+    # the reflection closure's integer coefficients against a rational
+    # solve over the simple roots, root by root
+    rs = build_root_system(series, rank)
+    reference = root_coefficients(rs)
+    assert len(reference) == 2 * POSITIVE_ROOT_COUNTS[(series, rank)]
+    for root, expected in reference.items():
+        got = rs.coefficients(root)
+        assert got == expected
+        assert all(type(c) is int for c in got)
+
+
 def test_cartan_pairing_simple_roots_match_cartan_matrix():
     rs = build_root_system("G", 2)
     a1, a2 = rs.simple_roots
@@ -113,6 +126,16 @@ def test_cartan_pairing_rejects_non_integral():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
         rs.cartan_pairing((1, 0, 0), (1, 1, 1))
+    # the message gives the pairing in lowest terms, sign on the numerator
+    cases = [
+        ((1, 0, 0), (1, 1, 1), "2/3"),
+        ((-1, 0, 0), (1, 1, 1), "-2/3"),
+        ((1, 0, 0), (2, 2, 2), "1/3"),
+    ]
+    for beta, alpha, value in cases:
+        with pytest.raises(ValueError) as info:
+            rs.cartan_pairing(beta, alpha)
+        assert str(info.value) == f"non-integral Cartan pairing <{beta}, {alpha}>: {value}"
 
 
 @pytest.mark.parametrize("series,rank", [("Z", 2), ("A", 0), ("G", 3), ("B", 1), ("D", 2), ("F", 3)])
@@ -190,7 +213,8 @@ def test_root_system_and_cascade_are_frozen_values():
     with pytest.raises(AttributeError):
         del rs.series
     assert rs.rank == 2
-    # the derived data are cached per instance all the same
+    # the derived data are set once, when the record is built
+    assert "positive_roots" in vars(rs)
     assert rs.positive_roots is rs.positive_roots
     assert kostant_cascade(rs) == kostant_cascade(rs)
     assert kostant_cascade(rs) == kostant_cascade(again)

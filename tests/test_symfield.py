@@ -186,6 +186,32 @@ def test_locelem_power_matches_repeated_multiplication():
                 want = want * a
 
 
+def test_locelem_constant_comparison_matches_subtraction():
+    # a == c reads the normal form; the reference subtracts c.  Elements
+    # equal to c are built as c times their own denominator, over the
+    # overlapping generators x, x*y and x^2 + z
+    rng = random.Random(19)
+    x, y, z = (Poly.variable(VARS, v) for v in VARS)
+    dset = DenominatorSet(VARS, [x, x * y, x * x + z])
+    hidden = 0
+    for _ in range(400):
+        c = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+        den = [rng.randint(0, 2) for _ in dset.gens]
+        num = LocElem(dset, Poly.const(VARS, 1), den).den_poly() * c
+        kind = rng.randrange(3)
+        if kind == 1:
+            num = num + rand_poly(rng, nterms=2, deg=2)
+        elif kind == 2:
+            num = rand_poly(rng, nterms=3, deg=3)
+        a = LocElem(dset, num, den)
+        for other in (c, c + 1, -c, Fraction(c) / 2, 0):
+            want = (a - other).is_zero()
+            assert (a == other) is want and (other == a) is want
+            assert (a != other) is not want
+        hidden += kind == 0 and any(den)
+    assert hidden > 50
+
+
 def test_locelem_scalar_multiple_is_reduced():
     rng = random.Random(17)
     dset = DenominatorSet(VARS)
