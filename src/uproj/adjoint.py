@@ -39,6 +39,12 @@ class AdjointConstruction(Construction):
         self.basis = basis
         self.cascade = kostant_cascade(basis.rs)
         self.dset = DenominatorSet(basis.symbols)
+        # one derivation per positive root symbol, shared by its stage and,
+        # for a simple root, by simple_derivations
+        self.derivations = {
+            sym: ad_derivation(basis, self.dset, sym)
+            for sym in basis.pos_symbol.values()
+        }
         self.xi_elements = []  # the invariant denominator chain
         stages = []  # of the levels built so far, in application order
         for lv in self.cascade.levels:
@@ -64,7 +70,7 @@ class AdjointConstruction(Construction):
             before,
             dict(zip(basis.cartan_symbols, basis.coroot_coefficients(lv.xi))),
         )
-        d_xi = ad_derivation(basis, self.dset, basis.pos_symbol[lv.xi])
+        d_xi = self.derivations[basis.pos_symbol[lv.xi]]
         stages = [Stage(d_xi, h_xi * Fraction(-1, 2), e_xi)]
 
         partners = dict(lv.pairing)
@@ -74,7 +80,7 @@ class AdjointConstruction(Construction):
             sym, partner = basis.pos_symbol[alpha], basis.pos_symbol[partners[alpha]]
             # [E_alpha, E_partner] = N E_xi
             ((_, n),) = basis.table[sym][partner]
-            d_alpha = ad_derivation(basis, self.dset, sym)
+            d_alpha = self.derivations[sym]
             e_partner = self._carry(before, {partner: 1})
             stages.append(Stage(d_alpha, e_partner * (Fraction(-1) / n), e_xi))
         return stages
@@ -124,8 +130,5 @@ class AdjointConstruction(Construction):
         return entries, metadata
 
     def simple_derivations(self):
-        basis = self.basis
-        return [
-            ad_derivation(basis, self.dset, basis.pos_symbol[a])
-            for a in basis.rs.simple_roots
-        ]
+        pos_symbol = self.basis.pos_symbol
+        return [self.derivations[pos_symbol[a]] for a in self.basis.rs.simple_roots]

@@ -28,12 +28,15 @@ class GeneratorSet:
         return all(c["status"] == "pass" for c in self.report["checks"])
 
     def to_json(self):
+        # every polynomial is formatted once, for its JSON and its text
+        dset, gen_texts = self.dset.formatted()
+        generators = []
+        for name, e in self.entries:
+            data, text = e.formatted(gen_texts)
+            generators.append({"name": name, "element": data, "text": text})
         return {
-            "generators": [
-                {"name": n, "element": e.to_json(), "text": str(e)}
-                for n, e in self.entries
-            ],
-            "denominator_set": self.dset.to_json(),
+            "generators": generators,
+            "denominator_set": dset,
             "metadata": self.metadata,
             "verification": self.report,
         }

@@ -109,11 +109,14 @@ class ConjugationConstruction(Construction):
         # the positive roots e_a - e_b by height b - a, then lexicographically
         # in their simple-root coefficients
         self.pairs = [(a, a + h) for h in range(1, n) for a in range(n - h, 0, -1)]
+        # one derivation per positive root, shared by its stage and, for a
+        # simple root, by simple_derivations
+        self.derivations = {p: conj_derivation(self.dset, *p) for p in self.pairs}
         # application order: the largest root first.  The slice of e_a - e_b
         # is d_beta / d_nu, nu = n - b + 1
         self.projector = Projector(self.dset, [
             Stage(
-                conj_derivation(self.dset, a, b),
+                self.derivations[(a, b)],
                 LocElem(self.dset, self.elements["d_beta"][(a, b)]),
                 self.d[n - b],
             )
@@ -135,4 +138,4 @@ class ConjugationConstruction(Construction):
         return entries, metadata
 
     def simple_derivations(self):
-        return [conj_derivation(self.dset, i, i + 1) for i in range(1, self.n)]
+        return [self.derivations[(i, i + 1)] for i in range(1, self.n)]

@@ -22,6 +22,7 @@ from .symfield import (
     Poly,
     SingularPointError,
     UniverseMismatch,
+    _over_common_den,
     check_degree,
 )
 
@@ -297,14 +298,19 @@ def sample_regular_point(dset, rng):
 def jacobian_rank(dset, elements, point):
     """Exact rank of the Jacobian of localized elements at a point.
 
-    Each row is evaluated pointwise by the quotient rule,
-    d(n / prod g^e)/dv = (dn/dv - n sum_i e_i (dg_i/dv) / g_i) / prod g^e,
-    from the values and gradients of n and of the generators at the point.
-    Poly.value_and_gradient reads each of them in one pass over its terms;
-    no derivative polynomial is built.  Elements must be over dset
-    (UniverseMismatch otherwise), since their exponents index its
-    generators.
+    The point is brought over one common denominator once, and every row
+    is built in ints.  Poly.value_and_gradient gives the value n and the
+    gradient dn of a numerator over one scale, and the same for each
+    denominator generator g.  The quotient rule
+    d(n / g^e) = (g dn - e n dg) / g^(e + 1) is taken one generator at a
+    time: with w the value carried beside the row, row <- g row - e w dg
+    and w <- g w.  Each row is then the gradient of its element times a
+    nonzero scalar (the scales, and the generators' values), which does
+    not change the rank.  No derivative polynomial and no Fraction is
+    built.  Elements must be over dset (UniverseMismatch otherwise), since
+    their exponents index its generators.
     """
+    b, ints = _over_common_den(dset.vars, point)
     gens = {}  # generator index -> (value, gradient) at the point
     rows = []
     for a in elements:
@@ -312,20 +318,19 @@ def jacobian_rank(dset, elements, point):
             a = LocElem(dset, a)
         elif a.dset is not dset:
             raise UniverseMismatch("element over a different denominator set")
-        nval, row = a.num.value_and_gradient(point)
-        scale = Fraction(1)
+        w, row = a.num.value_and_gradient(b, ints)
         for i, e in enumerate(a.den):
             if not e:
                 continue
             if i not in gens:
-                gens[i] = dset.gens[i].value_and_gradient(point)
-            gval, ggrad = gens[i]
-            if gval == 0:
+                gens[i] = dset.gens[i].value_and_gradient(b, ints)
+            g, dg = gens[i]
+            if not g:
                 raise SingularPointError(
                     f"denominator generator {dset.gens[i]} vanishes"
                 )
-            f = nval * e / gval
-            row = [r - f * dg for r, dg in zip(row, ggrad)]
-            scale /= gval**e
-        rows.append([r * scale for r in row])
+            f = e * w
+            row = [g * r - f * d for r, d in zip(row, dg)]
+            w *= g
+        rows.append(row)
     return linalg.rank(rows)

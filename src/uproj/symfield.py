@@ -26,7 +26,7 @@ Every exponent fits its field while the total degree is at most
 MAX_DEGREE = c = 32767.  An operation whose result could pass that bound
 raises DegreeBoundError; a field never wraps.  Exponent tuples appear only
 at the edges: the {exp: rational} constructor, the read-only
-{exp: Fraction} view `terms`, `sorted_terms`, JSON and text.
+{exp: Fraction} view `terms`, JSON and text.
 
 Localized elements (LocElem) carry a polynomial numerator and a formal
 monomial denominator over a declared multiplicative set of generator
@@ -371,14 +371,28 @@ class Poly:
     def evaluate(self, point):
         """Exact substitution; point maps variable name to a rational.
 
-        With the point written as a_j / b over one common b, the value is
-        sum_e n_e prod a_j^e_j b^(deg - |e|) / (den b^deg), an integer sum
-        turned into one Fraction.  Each key is read only at the fields of
-        the variables its monomial contains.
+        The value is the one that value_and_gradient reads in its pass,
+        turned into one Fraction.
         """
         b, ints = _over_common_den(self.vars, point)
-        if not self._num:
-            return Fraction(0)
+        v = self.value_and_gradient(b, ints)[0]
+        return Fraction(v, self._den * b ** self.total_degree())
+
+    def value_and_gradient(self, b, ints):
+        """(v, [g_j for x_j in vars]): the value and the partials at a
+        point, as ints over one positive scale s = _den * b^deg, in one pass.
+
+        The point is x_j = a_j / b, in the form (b, ints) that
+        _over_common_den gives.  The value is v / s with
+        v = sum_e n_e a^e b^(deg - |e|), and the partial in x_j is g_j / s
+        with g_j = b sum_e n_e e_j a^(e - unit_j) b^(deg - |e|).  Each key
+        is read only at the fields of the variables its monomial contains.
+        A term with no zero coordinate adds its value term times e_j / a_j;
+        where a_j = 0, only a term with e_j = 1 and no other zero
+        coordinate adds, the product of its other factors, and to x_j's
+        partial alone.
+        """
+        grad = dict.fromkeys(ints, 0)  # by bit offset
         pk = self._pk
         shift, base = pk.shift, pk.base
         deg = self.total_degree()
@@ -390,43 +404,11 @@ class Poly:
             if scale is None:
                 scale = bpow[d] = b ** (deg - d)
             t = n * scale
+            read = []  # (offset, e_j, a_j) of the nonzero coordinates
+            lost = None  # offset of the one zero coordinate, -1 if none adds
             # e_j uncomplemented, in x_j's field; each pass takes the
             # lowest field that is set (& -FIELD_BITS rounds a bit index
             # down to its field's offset)
-            plain = base + (d << shift) - key
-            while plain:
-                at = ((plain & -plain).bit_length() - 1) & -FIELD_BITS
-                e = (plain >> at) & FIELD_MASK
-                plain -= e << at
-                t *= ints[at] ** e
-            total += t
-        return Fraction(total, self._den * b**deg)
-
-    def value_and_gradient(self, point):
-        """(value, [d/dx_j at the point for x_j in vars]) in one pass.
-
-        Over evaluate's common b, the partial in x_j is
-        sum_e n_e e_j a^(e - unit_j) b^(deg - |e|) / (den b^(deg - 1)).
-        A term with no zero coordinate adds its value term times e_j / a_j;
-        where a_j = 0, only a term with e_j = 1 and no other zero
-        coordinate adds, the product of its other factors, and to x_j's
-        partial alone.
-        """
-        b, ints = _over_common_den(self.vars, point)
-        grad = dict.fromkeys(ints, 0)  # by bit offset
-        pk = self._pk
-        shift, base = pk.shift, pk.base
-        deg = self.total_degree()
-        bpow = {}
-        total = 0
-        for key, n in self._num.items():
-            d = key >> shift
-            scale = bpow.get(d)
-            if scale is None:
-                scale = bpow[d] = b ** (deg - d)
-            t = n * scale
-            read = []  # (offset, e_j, a_j) of the nonzero coordinates
-            lost = None  # offset of the one zero coordinate, -1 if none adds
             plain = base + (d << shift) - key
             while plain:
                 at = ((plain & -plain).bit_length() - 1) & -FIELD_BITS
@@ -445,20 +427,9 @@ class Poly:
                     grad[at] += t // a * e
             elif lost >= 0:
                 grad[lost] += t
-        den = self._den * b ** max(deg - 1, 0)
-        return (
-            Fraction(total, self._den * b**deg),
-            [Fraction(g, den) for g in grad.values()],
-        )
+        return total, [g * b for g in grad.values()]
 
     # -- normal form helpers -------------------------------------------
-
-    def sorted_terms(self):
-        """(exp, Fraction) pairs in decreasing grevlex order."""
-        num, den, unpack = self._num, self._den, self._pk.unpack
-        return [
-            (unpack(k), Fraction(num[k], den)) for k in sorted(num, reverse=True)
-        ]
 
     def content_and_primitive(self):
         """Write self = c * p with p having integer coprime coefficients
@@ -551,43 +522,36 @@ class Poly:
 
     # -- presentation ---------------------------------------------------
 
+    def formatted(self):
+        """(to_json(), str()) from one pass over the terms in decreasing
+        grevlex order: each key is unpacked once, and each coefficient is
+        reduced by one int gcd and written once."""
+        den, unpack, names = self._den, self._pk.unpack, self.vars
+        terms, parts = [], []
+        for k, n in sorted(self._num.items(), reverse=True):
+            exp = unpack(k)
+            g = gcd(n, den)
+            p, q = str(n // g), str(den // g)
+            terms.append({"exp": list(exp), "num": p, "den": q})
+            c = p if q == "1" else f"{p}/{q}"
+            if mono := "*".join(
+                [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e]
+            ):
+                # a coefficient of 1 or -1 leaves only its sign
+                c = f"{c[:-1]}{mono}" if c in ("1", "-1") else f"{c}*{mono}"
+            if parts:
+                c = f" - {c[1:]}" if n < 0 else f" + {c}"
+            parts.append(c)
+        return {"vars": list(names), "terms": terms}, "".join(parts) or "0"
+
     def __str__(self):
-        if not self._num:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            for v, e in zip(self.vars, exp):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        return self.formatted()[1]
 
     def __repr__(self):
         return f"Poly({self})"
 
     def to_json(self):
-        return {
-            "vars": list(self.vars),
-            "terms": [
-                {"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-                for e, c in self.sorted_terms()
-            ],
-        }
+        return self.formatted()[0]
 
 
 class DenominatorSet:
@@ -621,8 +585,19 @@ class DenominatorSet:
     def __len__(self):
         return len(self.gens)
 
+    def formatted(self):
+        """(to_json(), [str(g) for g in gens]), each generator formatted
+        once."""
+        data = {"vars": list(self.vars), "generators": []}
+        texts = []
+        for g in self.gens:
+            d, t = g.formatted()
+            data["generators"].append(d)
+            texts.append(t)
+        return data, texts
+
     def to_json(self):
-        return {"vars": list(self.vars), "generators": [g.to_json() for g in self.gens]}
+        return self.formatted()[0]
 
 
 def _pad(exps, n):
@@ -833,22 +808,24 @@ class LocElem:
 
     # -- presentation -------------------------------------------------------
 
-    def __str__(self):
-        if not self.den:
-            return str(self.num)
-        factors = []
+    def formatted(self, gen_texts):
+        """(to_json(), str()) with the numerator formatted in one pass;
+        gen_texts[i] is denominator generator i or its text, written only
+        when the element's denominator holds it."""
+        data, text = self.num.formatted()
+        data["denom"] = denom = []
+        factors = [f"({text})"]
         for i, e in enumerate(self.den):
             if e:
-                factors.append(f"({self.dset.gens[i]})^-{e}")
-        return f"({self.num})*" + "*".join(factors)
+                denom.append({"gen_index": i, "power": e})
+                factors.append(f"({gen_texts[i]})^-{e}")
+        return data, "*".join(factors) if denom else text
+
+    def __str__(self):
+        return self.formatted(self.dset.gens)[1]
 
     def __repr__(self):
         return f"LocElem({self})"
 
     def to_json(self):
-        data = self.num.to_json()
-        data["denom"] = [
-            {"gen_index": i, "power": e} for i, e in enumerate(self.den) if e
-        ]
-        return data
-
+        return self.formatted(self.dset.gens)[0]

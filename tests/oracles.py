@@ -86,9 +86,39 @@ def poly_from_json(data):
 
 
 def leading(p):
-    """The leading (exp, coeff) of a Poly in grevlex order; None for zero."""
-    terms = p.sorted_terms()
-    return terms[0] if terms else None
+    """The leading (exp, coeff) of a Poly in grevlex order, the first term
+    of its JSON; None for zero."""
+    terms = p.to_json()["terms"]
+    if not terms:
+        return None
+    t = terms[0]
+    return tuple(t["exp"]), Fraction(int(t["num"]), int(t["den"]))
+
+
+def poly_text(p):
+    """str(p) written term by term from the Fraction view, in grevlex
+    order: the reference for Poly.formatted's text."""
+    terms = sorted(p.terms.items(), key=lambda t: (-sum(t[0]), t[0][::-1]))
+    parts = []
+    for exp, c in terms:
+        mono = "*".join(
+            v if e == 1 else f"{v}^{e}" for v, e in zip(p.vars, exp) if e
+        )
+        if not mono:
+            piece = str(c)
+        elif c == 1:
+            piece = mono
+        elif c == -1:
+            piece = f"-{mono}"
+        else:
+            piece = f"{c}*{mono}"
+        parts.append(piece)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
 
 
 def coefficient_of(p, name):

@@ -376,3 +376,25 @@ def _construction_digest(c):
 def test_exceptional_construction_is_pinned(basis_of, series, rank, digest):
     # stages (label, slice, witness), denominator set and Xi chain
     assert _construction_digest(AdjointConstruction(basis_of(series, rank))) == digest
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4),
+    ("G", 2), ("F", 4), ("E", 6),
+])
+def test_simple_derivations_are_the_stage_derivations(basis_of, series, rank):
+    # every positive root has exactly one stage, so each simple root's
+    # derivation is a stage's; verify reads those, and each equals a
+    # freshly built one
+    basis = basis_of(series, rank)
+    c = AdjointConstruction(basis)
+    stage_derivations = [st.derivation for st in c.projector.stages]
+    assert sorted(d.label for d in stage_derivations) == sorted(
+        f"D_{s}" for s in basis.pos_symbol.values()
+    )
+    family = c.simple_derivations()
+    assert len(family) == rank
+    for a, d in zip(basis.rs.simple_roots, family):
+        assert any(d is s for s in stage_derivations)
+        fresh = ad_derivation(basis, c.dset, basis.pos_symbol[a])
+        assert (d.label, d.images) == (fresh.label, fresh.images)

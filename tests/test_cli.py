@@ -359,15 +359,17 @@ def test_generators_text_format():
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_generators_format_each_element_once(monkeypatch, capsys, fmt):
     # --format prints either the JSON tree or the text lines, and each
-    # writes every generator as text, so only the printed one is built
+    # writes every generator as text, so only the printed one is built;
+    # LocElem.formatted makes an element's JSON and text in one pass, and
+    # str() goes through it
     calls = []
-    to_text = LocElem.__str__
+    formatted = LocElem.formatted
 
-    def counted(self):
+    def counted(self, gen_texts):
         calls.append(self)
-        return to_text(self)
+        return formatted(self, gen_texts)
 
-    monkeypatch.setattr(LocElem, "__str__", counted)
+    monkeypatch.setattr(LocElem, "formatted", counted)
     argv = ["generators", "adjoint", "--type", "A", "--rank", "2", "--format", fmt]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out

@@ -304,3 +304,17 @@ def test_conj_derivation_matches_commutator():
             for j in range(n):
                 v = LocElem.variable(dset, entry_name(i + 1, j + 1))
                 assert d.apply(v).evaluate(pt) == sx[i][j] - xs[i][j]
+
+
+def test_simple_derivations_are_the_stage_derivations():
+    # verify reads the derivations the stages already hold; each equals a
+    # freshly built one
+    for n in (2, 3, 4):
+        c = conj_of(n)
+        stage_derivations = [st.derivation for st in c.projector.stages]
+        family = c.simple_derivations()
+        assert len(family) == n - 1
+        for i, d in enumerate(family, 1):
+            assert any(d is s for s in stage_derivations)
+            fresh = conj_derivation(c.dset, i, i + 1)
+            assert (d.label, d.images) == (fresh.label, fresh.images)

@@ -139,6 +139,38 @@ def test_verification_builds_no_derivative_polynomials():
     assert not found, f"derivative polynomial built on the verify path at {found}"
 
 
+def test_jacobian_rank_builds_no_fractions():
+    # the rank reads each value and gradient as ints over one scale
+    # (Poly.value_and_gradient) and builds each row in ints; a Fraction
+    # there is one rational per entry again, which linalg.rank would turn
+    # back into ints
+    bodies = []
+    for name, owner, func in (
+        ("projector.py", None, "jacobian_rank"),
+        ("symfield.py", "Poly", "value_and_gradient"),
+    ):
+        tree = ast.parse((SRC / name).read_text())
+        scope = tree.body
+        if owner is not None:
+            scope = next(
+                n.body for n in scope if isinstance(n, ast.ClassDef) and n.name == owner
+            )
+        bodies += [
+            (name, n)
+            for n in scope
+            if isinstance(n, ast.FunctionDef) and n.name == func
+        ]
+    assert len(bodies) == 2
+    found = [
+        f"{name}:{node.lineno}"
+        for name, body in bodies
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call)
+        and _referenced_name(node.func) in ("Fraction", "_fr")
+    ]
+    assert not found, f"Fraction built in the Jacobian rank at {found}"
+
+
 def test_s_map_engine_builds_no_constant_factors():
     # Derivation.apply folds e and the product of the moved generators
     # into the small D(g_i), and smap puts -1/k onto the slice element; a

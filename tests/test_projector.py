@@ -9,6 +9,7 @@ import pytest
 from uproj import linalg
 from uproj.adjoint import AdjointConstruction
 from uproj.genrep import RepConstruction, load_rep
+from uproj.genset import GeneratorSet
 from uproj.groupconj import ConjugationConstruction
 from uproj.liealg import chevalley_constants
 from uproj.projector import (
@@ -31,9 +32,10 @@ from uproj.symfield import (
     Poly,
     SingularPointError,
     UniverseMismatch,
+    _over_common_den,
 )
 
-from conftest import get_adjoint
+from conftest import get_adjoint, get_basis
 from oracles import (
     coefficient_of,
     cross_section_check,
@@ -437,6 +439,22 @@ def symbolic_rows(dset, elements, point):
     return [[a.deriv(v).evaluate(point) for v in dset.vars] for a in elements]
 
 
+def assert_nonzero_multiples(rows, expected):
+    """Each row is a row of ints, a nonzero rational multiple of the row of
+    expected at the same place."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want)
+        assert all(type(x) is int for x in row), row
+        j = next((j for j, y in enumerate(want) if y), None)
+        if j is None:
+            assert not any(row), row
+            continue
+        c = Fraction(row[j]) / want[j]
+        assert c != 0
+        assert [c * y for y in want] == row, (row, want)
+
+
 def test_jacobian_rank_matches_symbolic_rows(monkeypatch):
     seen = []
     rank = linalg.rank
@@ -448,7 +466,7 @@ def test_jacobian_rank_matches_symbolic_rows(monkeypatch):
         point = sample_regular_point(dset, rng)
         r = jacobian_rank(dset, elements, point)
         expected = symbolic_rows(dset, elements, point)
-        assert seen.pop() == expected
+        assert_nonzero_multiples(seen.pop(), expected)
         assert r == rank(expected)
 
 
@@ -491,10 +509,13 @@ def test_value_and_gradient_matches_deriv_at_edge_points():
             for cy in coords:
                 for cz in coords:
                     pt = {"x": cx, "y": cy, "z": cz}
-                    got = p.value_and_gradient(pt)
+                    b, ints = _over_common_den(VARS, pt)
+                    val, grad = p.value_and_gradient(b, ints)
+                    assert all(type(c) is int for c in [val, *grad])
+                    s = p._den * b ** p.total_degree()
                     expected = [p.deriv(v).evaluate(pt) for v in VARS]
-                    assert got == (p.evaluate(pt), expected), (str(p), pt)
-                    assert all(isinstance(c, Fraction) for c in [got[0], *got[1]])
+                    assert Fraction(val, s) == p.evaluate(pt), (str(p), pt)
+                    assert [Fraction(g, s) for g in grad] == expected, (str(p), pt)
 
 
 def test_jacobian_rank_takes_polys_and_empty_lists(monkeypatch):
@@ -507,16 +528,17 @@ def test_jacobian_rank_takes_polys_and_empty_lists(monkeypatch):
     elements = [x * y, y * y * z, x * y * z + x * x]
     expected = symbolic_rows(dset, elements, pt)
     assert jacobian_rank(dset, elements, pt) == rank(expected)
-    assert seen.pop() == expected
+    assert_nonzero_multiples(seen.pop(), expected)
     assert jacobian_rank(dset, [], pt) == 0
     assert seen.pop() == []
 
 
 def generator_set_constructions():
+    """Fresh constructions, so that a test may register denominators."""
     return {
-        "adjoint-A2": lambda: get_adjoint("A", 2),
-        "adjoint-B2": lambda: get_adjoint("B", 2),
-        "adjoint-G2": lambda: get_adjoint("G", 2),
+        "adjoint-A2": lambda: AdjointConstruction(get_basis("A", 2)),
+        "adjoint-B2": lambda: AdjointConstruction(get_basis("B", 2)),
+        "adjoint-G2": lambda: AdjointConstruction(get_basis("G", 2)),
         "conj-3": lambda: ConjugationConstruction(3),
         "conj-4": lambda: ConjugationConstruction(4),
         "rep-adj-b2": lambda: RepConstruction(
@@ -527,8 +549,9 @@ def generator_set_constructions():
 
 @pytest.mark.parametrize("name", list(generator_set_constructions()))
 def test_jacobian_rank_rows_match_symbolic_rows_on_generator_sets(name, monkeypatch):
-    """The rows jacobian_rank hands linalg.rank against the LocElem.deriv
-    rows, at the regular points Construction.verify draws for seeds 0-4."""
+    """The rows jacobian_rank hands linalg.rank are nonzero multiples of the
+    LocElem.deriv rows, at the regular points Construction.verify draws for
+    seeds 0-4, and their rank is the symbolic rank."""
     c = generator_set_constructions()[name]()
     elements = c.generator_set(verify=False).elements
     derivs = [[a.deriv(v) for v in c.dset.vars] for a in elements]
@@ -538,8 +561,33 @@ def test_jacobian_rank_rows_match_symbolic_rows_on_generator_sets(name, monkeypa
     for seed in range(5):
         point = sample_regular_point(c.dset, random.Random(seed))
         r = jacobian_rank(c.dset, elements, point)
-        assert seen.pop() == [[d.evaluate(point) for d in row] for row in derivs]
-        assert r == len(elements)
+        expected = [[d.evaluate(point) for d in row] for row in derivs]
+        assert_nonzero_multiples(seen.pop(), expected)
+        assert r == rank(expected) == len(elements)
+
+
+@pytest.mark.parametrize("name", list(generator_set_constructions()))
+def test_jacobian_rank_sees_dependent_elements(name):
+    """A product of two emitted generators and a rational function of three
+    lie in the field they generate: they raise the rank by nothing, and
+    either one in place of a generator makes verify fail the rank."""
+    c = generator_set_constructions()[name]()
+    gs = c.generator_set(verify=False)
+    e0, e1, e2 = gs.elements[:3]
+    product = e0 * e1
+    ratio = (e0 + e1 * e2) / (e2 + 1)  # registers e2 + 1 as a denominator
+    rng = random.Random(0)
+    for _ in range(3):
+        point = sample_regular_point(c.dset, rng)
+        assert jacobian_rank(c.dset, gs.elements + [product, ratio], point) == len(gs)
+    for dependent in (product, ratio):
+        entries = gs.entries[:-1] + [("dependent", dependent)]
+        report = c.verify(GeneratorSet(entries, c.dset))
+        (check,) = [ch for ch in report["checks"] if ch["name"] == "jacobian_rank"]
+        assert check == {
+            "name": "jacobian_rank", "status": "fail",
+            "rank": len(gs) - 1, "expected": len(gs),
+        }
 
 
 # -- the projector at a point ----------------------------------------------
