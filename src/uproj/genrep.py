@@ -270,13 +270,11 @@ def adjoint_rep(basis):
 
 
 class StageData:
-    """One peeling step: the chosen lowest vector and everything derived
-    from it."""
+    """One peeling step: the lowest form transported through the stages
+    before it, the denominator of its slices, and one stage per root of
+    the nilradical m, in application order."""
 
-    def __init__(self, lowest_form, m_roots, denominator, stages):
-        # ambient linear Poly, dual to v0 in the new basis
-        self.lowest_form = lowest_form
-        self.m_roots = m_roots  # ordered nilradical roots
+    def __init__(self, denominator, stages):
         self.denominator = denominator  # transported lowest form, a LocElem
         self.stages = stages  # [Stage] in application order
 
@@ -287,6 +285,10 @@ class RepConstruction(Construction):
     def __init__(self, rep):
         self.rep = rep
         self.dset = DenominatorSet(rep.variables)
+        # one derivation per positive root, built on first use and shared
+        # by every stage of that root and, for a simple root, by
+        # simple_derivations
+        self.derivations = {}
         self.stages = []
         rs = rep.basis.rs
         simple = rs.simple_roots
@@ -464,8 +466,7 @@ class RepConstruction(Construction):
         ]
 
         # transported slices for this stage, through the stages so far
-        lowest = self._linear(new_forms[0])
-        den = apply_stages(flat, LocElem(self.dset, lowest))
+        den = apply_stages(flat, LocElem(self.dset, self._linear(new_forms[0])))
         stages = []
         for j in range(k, 0, -1):
             wj = apply_stages(flat, LocElem(self.dset, self._linear(new_forms[j])))
@@ -473,19 +474,21 @@ class RepConstruction(Construction):
 
         for v in new_vectors:
             self._weight_of(v)  # raises on a vector of mixed weights
-        stage = StageData(lowest, m_roots, den, stages)
+        stage = StageData(den, stages)
         # v0 and the complement carry on; the m-orbit of v0 is done
         next_vectors = new_vectors[:1] + new_vectors[k + 1:]
         return stage, next_vectors, new_forms[:1] + new_forms[k + 1:], levi
 
     def _ambient_derivation(self, root):
-        sym = self.rep.basis.pos_symbol[root]
-        variables = self.rep.variables
-        images = {
-            v: Poly.linear(variables, {variables[j]: Fraction(-x, d) for j, x in e})
-            for v, (d, e) in zip(variables, self.rep.sparse[sym])
-        }
-        return Derivation(self.dset, images, label=f"D_{sym}")
+        if root not in self.derivations:
+            sym = self.rep.basis.pos_symbol[root]
+            variables = self.rep.variables
+            images = {
+                v: Poly.linear(variables, {variables[j]: Fraction(-x, d) for j, x in e})
+                for v, (d, e) in zip(variables, self.rep.sparse[sym])
+            }
+            self.derivations[root] = Derivation(self.dset, images, label=f"D_{sym}")
+        return self.derivations[root]
 
     # -- outputs ----------------------------------------------------------------
 

@@ -33,39 +33,44 @@ def matrix_variables(n):
 
 
 def minor(variables, rows, cols):
-    """Exact determinant of the submatrix s[rows, cols] as a Poly."""
+    """Exact determinant of the submatrix s[rows, cols] as a Poly.
+
+    Each of the k! signed products is handed to Poly.from_factors as the
+    positions of its k entries in variables, so no exponent tuple is
+    built."""
     rows = list(rows)
     cols = list(cols)
     if len(rows) != len(cols):
         raise ValueError(
             f"a minor needs as many rows as columns: {len(rows)} vs {len(cols)}"
         )
-    terms = {}
-    for perm in permutations(range(len(rows))):
-        exp = [0] * len(variables)
-        for r, j in zip(rows, perm):
-            exp[variables.index(entry_name(r, cols[j]))] += 1
-        exp = tuple(exp)
-        # summed, not assigned: with a repeated row or column two
-        # permutations give one monomial, with opposite signs
-        inversions = sum(starmap(gt, combinations(perm, 2)))
-        terms[exp] = terms.get(exp, 0) + (-1) ** inversions
-    return Poly(variables, terms)
+    at = [[variables.index(entry_name(r, c)) for c in cols] for r in rows]
+    # with a repeated row or column two permutations give one monomial,
+    # with opposite signs, and from_factors sums them
+    return Poly.from_factors(variables, [
+        ([row[j] for row, j in zip(at, perm)],
+         (-1) ** sum(starmap(gt, combinations(perm, 2))))
+        for perm in permutations(range(len(rows)))
+    ])
 
 
 def conj_derivation(dset, a, b):
     """Derivation D_s_a_b: D(s) = s x - x s for the matrix unit x = E_ab,
-    so D(s_i_b) gains s_i_a, and D(s_a_j) loses s_b_j."""
-    n = isqrt(len(dset.vars))
+    so D(s_i_b) gains s_i_a, and D(s_a_j) loses s_b_j.
+
+    Only column b and row a move: the 2n - 1 nonzero images are built,
+    in row-major order, and no zero image is."""
+    variables = dset.vars
+    n = isqrt(len(variables))
     images = {}
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
+        for j in range(1, n + 1) if i == a else (b,):
             coeffs = {}
             if j == b:
                 coeffs[entry_name(i, a)] = 1
             if i == a:
                 coeffs[entry_name(b, j)] = -1
-            images[entry_name(i, j)] = Poly.linear(dset.vars, coeffs)
+            images[entry_name(i, j)] = Poly.linear(variables, coeffs)
     return Derivation(dset, images, label=f"D_s_{a}_{b}")
 
 

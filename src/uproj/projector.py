@@ -62,7 +62,7 @@ class Derivation:
         self._image_den = lcm(*(img._den for img in self.images.values()))
         self._shifts = []
         for v, img in self.images.items():
-            i = dset.vars.index(v)
+            i = pk.pos[v]
             scale = self._image_den // img._den
             unit = pk.base + pk.units[i]
             self._shifts.append(
@@ -143,8 +143,10 @@ class Stage:
     where D(a1) = a0 and a0 is killed by D, and the witness (a1, a0).
 
     Raises ValueError, naming D, unless D(q) = 1 or -1; when D(q) = -1, q
-    and a0 are negated.  A scalar a0 divides through LocElem.__truediv__
-    and registers no denominator generator.
+    and a0 are negated.  This is the diagonal D_s(Q_s) = 1 of a
+    projector's triangular ledger, proven once here; Projector checks the
+    rest.  A scalar a0 divides through LocElem.__truediv__ and registers
+    no denominator generator.
     """
 
     def __init__(self, derivation, a1, a0):
@@ -210,9 +212,10 @@ class Projector:
     """Stages over a denominator set, applied as composed S-maps.
 
     Stages are listed in application order: the first stage acts first.
-    Construction verifies the triangular ledger: the derivation of each
-    stage kills the slice elements of all later stages exactly, and maps
-    its own slice to 1.
+    The triangular ledger holds when each stage's derivation maps its own
+    slice to 1 and kills the slices of all later stages exactly.  Each
+    Stage proves the first when it is built; construction checks the
+    second, once per pair of stages (check_triangularity).
     """
 
     def __init__(self, dset, stages):
@@ -221,15 +224,18 @@ class Projector:
         self.check_triangularity()
 
     def check_triangularity(self):
-        for i, s_i in enumerate(self.stages):
+        """Raise TriangularityError unless D_s(Q_t) = 0 for every stage s
+        and every later stage t: one Derivation.apply per pair.  Each
+        Stage proved D_s(Q_s) = 1 when it was built."""
+        stages = self.stages
+        for i, s_i in enumerate(stages):
             d_i = s_i.derivation
-            for j, s_j in enumerate(self.stages[i:], i):
-                r = d_i.apply(s_j.q)
-                expected = 1 if i == j else 0
-                if not r == expected:
+            for j in range(i + 1, len(stages)):
+                r = d_i.apply(stages[j].q)
+                if not r.is_zero():
                     raise TriangularityError(
                         f"stage {i} ({d_i.label}) on slice of stage {j}: "
-                        f"expected {expected}, got {r}"
+                        f"expected 0, got {r}"
                     )
 
     def apply(self, a):

@@ -26,7 +26,9 @@ Every exponent fits its field while the total degree is at most
 MAX_DEGREE = c = 32767.  An operation whose result could pass that bound
 raises DegreeBoundError; a field never wraps.  Exponent tuples appear only
 at the edges: the {exp: rational} constructor, the read-only
-{exp: Fraction} view `terms`, JSON and text.
+{exp: Fraction} view `terms`, JSON and text.  Poly.variable, Poly.linear
+and Poly.from_factors (a sum of products of variables, given by their
+positions) add the units of the variables to key(0) directly.
 
 Localized elements (LocElem) carry a polynomial numerator and a formal
 monomial denominator over a declared multiplicative set of generator
@@ -74,9 +76,9 @@ def _fr(x) -> Fraction:
 
 
 def _over_lcm(coeffs):
-    """({key: int}, den) for {key: nonzero Fraction}: the numerators over
-    den, the lcm of the reduced denominators.  They are coprime to it, so
-    the pair is in lowest terms."""
+    """({key: int}, den) for {key: nonzero int or Fraction}: the
+    numerators over den, the lcm of the reduced denominators.  They are
+    coprime to it, so the pair is in lowest terms."""
     den = lcm(*(c.denominator for c in coeffs.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
@@ -97,12 +99,12 @@ class Packing:
 
     base is key(0), with c in every variable field; shift is the bit
     offset of the degree field; guard has the top bit of every field set;
-    units[i] is key(x_i) - key(0).  Packing.of returns one shared instance
-    per variable tuple, so two polynomials share a universe exactly when
-    they share a Packing.
+    units[i] is key(x_i) - key(0); pos maps each variable to its position
+    i.  Packing.of returns one shared instance per variable tuple, so two
+    polynomials share a universe exactly when they share a Packing.
     """
 
-    __slots__ = ("vars", "base", "shift", "guard", "units", "_fields")
+    __slots__ = ("vars", "pos", "base", "shift", "guard", "units", "_fields")
     _shared = {}
 
     @classmethod
@@ -117,6 +119,7 @@ class Packing:
         n = len(variables)
         ones = sum(1 << (FIELD_BITS * i) for i in range(n))
         self.vars = variables
+        self.pos = {v: i for i, v in enumerate(variables)}
         self.shift = FIELD_BITS * n
         self.base = MAX_DEGREE * ones
         self.guard = (MAX_DEGREE + 1) * (ones + (1 << self.shift))
@@ -199,17 +202,32 @@ class Poly:
     @classmethod
     def variable(cls, variables, name):
         pk = Packing.of(variables)
-        return cls.from_packed(pk, {pk.base + pk.units[pk.vars.index(name)]: 1})
+        return cls.from_packed(pk, {pk.base + pk.units[pk.pos[name]]: 1})
 
     @classmethod
     def linear(cls, variables, coeffs):
-        """Linear polynomial from {name: coeff}, built on packed keys."""
+        """Linear polynomial from {name: int or Fraction}, built on packed
+        keys; an int coefficient is taken as it is."""
         pk = Packing.of(variables)
-        terms = {}
-        for name, c in coeffs.items():
-            if c := _fr(c):
-                terms[pk.base + pk.units[pk.vars.index(name)]] = c
-        return cls.from_packed(pk, *_over_lcm(terms))
+        base, units, pos = pk.base, pk.units, pk.pos
+        return cls.from_packed(pk, *_over_lcm(
+            {base + units[pos[name]]: c for name, c in coeffs.items() if c}
+        ))
+
+    @classmethod
+    def from_factors(cls, variables, terms):
+        """Sum of c * x_(i_1) * ... * x_(i_k) over the pairs
+        ((i_1, ..., i_k), c) of terms, with int coefficients c: each
+        monomial is given by the positions of its factors in variables,
+        repeats allowed, and equal monomials add up."""
+        pk = Packing.of(variables)
+        unit = pk.units.__getitem__
+        num = {}
+        for factors, c in terms:
+            check_degree(len(factors))
+            k = pk.base + sum(map(unit, factors))
+            num[k] = num.get(k, 0) + c
+        return cls.from_packed(pk, {k: c for k, c in num.items() if c})
 
     # -- coefficient view -----------------------------------------------
 
@@ -359,7 +377,7 @@ class Poly:
 
     def deriv(self, name):
         pk = self._pk
-        i = pk.vars.index(name)
+        i = pk.pos[name]
         at, unit = FIELD_BITS * i, pk.units[i]
         num = {}
         for key, n in self._num.items():
@@ -828,4 +846,8 @@ class LocElem:
         return f"LocElem({self})"
 
     def to_json(self):
-        return self.formatted(self.dset.gens)[0]
+        """The JSON object of formatted(), without formatting any
+        denominator generator."""
+        data = self.num.to_json()
+        data["denom"] = [{"gen_index": i, "power": e} for i, e in enumerate(self.den) if e]
+        return data

@@ -86,8 +86,8 @@ def test_sl3_defining_stage_projector_values(basis_of):
     assert p0.apply(y1).is_zero()
     assert p0.apply(y2).is_zero()
     assert p0.apply(y3) == y3
-    assert str(stage.lowest_form) == "y3"
-    assert len(stage.m_roots) == 2
+    assert str(c._linear(c._lowest_pairs[0])) == "y3"
+    assert len(stage.stages) == 2  # one per root of m
 
 
 def test_first_stage_data(basis_of):
@@ -241,9 +241,12 @@ def _rep_construction_digest(c):
         h.update(json.dumps(data, sort_keys=True).encode())
 
     add(c.generator_set(seed=0).to_json())
-    for stage in c.stages:
-        add(stage.lowest_form.to_json())
-        add([list(a) for a in stage.m_roots])
+    # each stage's lowest form, and its nilradical roots in order: the
+    # stages run over them last first, each with the derivation of its root
+    root_of = {d: r for r, d in c.derivations.items()}
+    for stage, pair in zip(c.stages, c._lowest_pairs):
+        add(c._linear(pair).to_json())
+        add([list(root_of[st.derivation]) for st in reversed(stage.stages)])
         add(stage.denominator.to_json())
         for st in stage.stages:
             h.update(st.derivation.label.encode())
@@ -365,6 +368,34 @@ def test_count_is_dim_minus_orbit_dimension(basis_of, name, series, rank):
     family = [c._ambient_derivation(r) for r in c.rep.basis.rs.positive_roots]
     assert jacobian_rank(c.dset, gs.elements, point) == len(gs)
     assert len(gs) == len(c.dset.vars) - orbit_rank(family, c.dset, point)
+
+
+@pytest.mark.parametrize(
+    "name,series,rank",
+    [("def", "A", 3), ("adj", "A", 2), ("adj", "A", 3), ("adj", "B", 2), ("adj", "G", 2)],
+)
+def test_simple_derivations_are_the_stage_derivations(basis_of, name, series, rank):
+    # one derivation per root, built once: verify reads the one a stage
+    # holds, and each equals the derivation read off the input's matrices,
+    # y_i -> -sum_j rho(E)[i][j] y_j.  On the adjoint inputs every simple
+    # root has a stage; on the defining one only the last
+    c = RepConstruction(_pinned_rep(basis_of, name, series, rank))
+    variables = c.rep.variables
+    stage_derivations = [st.derivation for st in c.projector.stages]
+    family = c.simple_derivations()
+    simple = c.rep.basis.rs.simple_roots
+    assert len(family) == rank
+    for a, d in zip(simple, family):
+        assert d is c.derivations[a]
+        assert any(d is s for s in stage_derivations) == (name == "adj" or a == simple[-1])
+        sym = c.rep.basis.pos_symbol[a]
+        rho = c.rep.rho[sym]
+        fresh = {
+            v: Poly.linear(variables, {u: -x for u, x in zip(variables, row)})
+            for v, row in zip(variables, rho)
+        }
+        fresh = {v: img for v, img in fresh.items() if not img.is_zero()}
+        assert (d.label, d.images) == (f"D_{sym}", fresh)
 
 
 def test_rep_construction_work_is_pinned(basis_of, monkeypatch):

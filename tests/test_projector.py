@@ -547,6 +547,48 @@ def generator_set_constructions():
     }
 
 
+@pytest.mark.parametrize("name", ["conj-4", "adjoint-G2"])
+def test_ledger_applies_each_derivation_once_to_each_later_slice(name, monkeypatch):
+    # Stage proved D_s(Q_s) = 1 when it was built, so the ledger applies
+    # stage i's derivation only to the slices of stages j > i, once each:
+    # N(N - 1)/2 applications
+    c = generator_set_constructions()[name]()
+    stages = c.projector.stages
+    n = len(stages)
+    owner = {st.derivation: i for i, st in enumerate(stages)}
+    slice_of = {id(st.q): j for j, st in enumerate(stages)}
+    assert len(owner) == len(slice_of) == n
+    applied = []
+    real = Derivation.apply
+
+    def counted(self, a):
+        applied.append((owner[self], slice_of[id(a)]))
+        return real(self, a)
+
+    monkeypatch.setattr(Derivation, "apply", counted)
+    c.projector.check_triangularity()
+    assert len(applied) == n * (n - 1) // 2
+    assert applied == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("name", list(generator_set_constructions()))
+def test_construction_and_verify_build_each_derivation_once(name, monkeypatch):
+    # the stages and simple_derivations share one derivation per root
+    built = []
+    real = Derivation.__init__
+
+    def counted(self, dset, images, label=""):
+        built.append(label)
+        real(self, dset, images, label)
+
+    monkeypatch.setattr(Derivation, "__init__", counted)
+    c = generator_set_constructions()[name]()
+    gs = c.generator_set(seed=0)
+    assert gs.all_verified()
+    assert {d.label for d in c.simple_derivations()} <= set(built)
+    assert built and len(built) == len(set(built)), built
+
+
 @pytest.mark.parametrize("name", list(generator_set_constructions()))
 def test_jacobian_rank_rows_match_symbolic_rows_on_generator_sets(name, monkeypatch):
     """The rows jacobian_rank hands linalg.rank are nonzero multiples of the
@@ -634,7 +676,8 @@ def projected_sources(c):
             for (a, b), m in c.elements["c_beta"].items()
         }
     # rep: the final forms independent of the lowest forms, in order
-    rows = [[coefficient_of(s.lowest_form, v) for v in dset.vars] for s in c.stages]
+    lowest = [c._linear(f) for f in c._lowest_pairs]
+    rows = [[coefficient_of(f, v) for v in dset.vars] for f in lowest]
     out = {}
     for f in c.final_forms:
         row = [coefficient_of(f, v) for v in dset.vars]

@@ -1,4 +1,5 @@
 import heapq
+import json
 import random
 from fractions import Fraction
 
@@ -97,6 +98,8 @@ def test_coefficient_of_and_linear():
         {"x": 3, "y": -2},
         {"y": Fraction(-3, 4), "z": Fraction(5, 6)},
         {"x": Fraction(1, 2), "y": 0, "z": 4},
+        {"x": 6, "y": -4, "z": 0},
+        {"x": 6, "y": Fraction(3, 2)},
         {"x": 0, "z": Fraction(0)},
         {},
     ):
@@ -104,6 +107,34 @@ def test_coefficient_of_and_linear():
         got = Poly.linear(VARS, coeffs)
         assert got == ref and got.terms == ref.terms, coeffs
         assert list(got.terms) == list(ref.terms), coeffs
+
+
+def test_from_factors_matches_the_exponent_constructor():
+    # a monomial given by the positions of its factors, in any order and
+    # with repeats, against its exponent tuple; equal monomials add up,
+    # and a term with its negation cancels
+    rng = random.Random(33)
+    for _ in range(300):
+        terms, ref = [], {}
+        for _ in range(rng.randint(0, 6)):
+            factors = [rng.randrange(len(VARS)) for _ in range(rng.randint(0, 5))]
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            exp = tuple(factors.count(i) for i in range(len(VARS)))
+            terms.append((factors, c))
+            ref[exp] = ref.get(exp, 0) + c
+            if rng.random() < 0.3:
+                terms.append((factors[::-1], -c))  # cancels the term above
+                ref[exp] -= c
+        want = Poly(VARS, ref)
+        got = Poly.from_factors(VARS, terms)
+        assert got == want and got.terms == want.terms
+    assert Poly.from_factors(VARS, [((0, 1), 1), ((1, 0), -1)]).is_zero()
+    assert Poly.from_factors(VARS, [((2, 0, 2), 5), ((), -1)]) == Poly(
+        VARS, {(1, 0, 2): 5, (0, 0, 0): -1}
+    )
+    assert Poly.from_factors(VARS, []) == Poly(VARS)
+    with pytest.raises(DegreeBoundError):
+        Poly.from_factors(VARS, [((0,) * (MAX_DEGREE + 1), 1)])
 
 
 def test_universe_mismatch_raises():
@@ -193,6 +224,33 @@ def test_locelem_deriv_quotient_rule():
     # d(y/x)/dx = -y/x^2
     expected = -y * x.inverse() * x.inverse()
     assert d == expected
+
+
+def test_locelem_to_json_formats_no_generator(monkeypatch):
+    # to_json gives the bytes of formatted(...)[0] and formats only the
+    # numerator, never the text of a denominator generator
+    rng = random.Random(34)
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    dset = DenominatorSet(VARS, [x + 1, y - 2, x * y + 3])
+    texts = dset.formatted()[1]
+    elements = [
+        LocElem(dset, rand_poly(rng), [rng.randint(0, 2) for _ in dset.gens])
+        for _ in range(50)
+    ]
+    assert sum(bool(a.den) for a in elements) > 25
+    want = [json.dumps(a.formatted(texts)[0], sort_keys=True) for a in elements]
+    formatted = []
+    real = Poly.formatted
+
+    def counted(self):
+        formatted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Poly, "formatted", counted)
+    got = [json.dumps(a.to_json(), sort_keys=True) for a in elements]
+    assert got == want
+    assert len(formatted) == len(elements)
+    assert all(p is a.num for p, a in zip(formatted, elements))
 
 
 def test_locelem_json_roundtrip():
